@@ -27,6 +27,7 @@ from .value_functions import (
     EXACT_ROW_MEMBERSHIP,
     HybridSample,
     MARGINAL_JOINT,
+    NonFiniteScoreError,
     PRODUCT_OF_MARGINALS,
     SINGLE_REFERENCE,
     ValueFunctionSpec,

@@ -5,7 +5,8 @@ Exit codes are a stable contract:
   2 malformed configuration (bad flags, unknown scenario, missing seed, cycles)
   3 dataset or model load failure
   4 computation failure (empty conditioning set, continuous features,
-    enumeration caps); the offending coalition is named on standard error
+    enumeration caps, non-finite model output); the offending coalition is
+    named on standard error
   5 a scenario claim failed
 
 Configuration is a flat key=value text file (same keys as the long flags,
@@ -20,6 +21,7 @@ seeded from the clock.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from .data import DatasetError, TabularDataset
 from .games import CoalitionGame, CyclicPrecedenceError, EnumerationCapError, PrecedenceOrder
-from .models import CallableModel, LinearModel, MultiplicativeModel, QuadraticRecourseModel
+from .models import LinearModel, MultiplicativeModel, QuadraticRecourseModel
 from .reporting import dump_json, atomic_write_text
 from .scenarios import SCENARIO_NAMES, run_scenario, write_report
 from .solvers import (
@@ -44,6 +46,7 @@ from .value_functions import (
     ContinuousFeatureError,
     EmptyConditioningSetError,
     MARGINAL_JOINT,
+    NonFiniteScoreError,
     PRODUCT_OF_MARGINALS,
     SINGLE_REFERENCE,
     ValueFunctionSpec,
@@ -58,6 +61,7 @@ _VALUE_FN_TOKENS = {
     "single-reference": SINGLE_REFERENCE,
 }
 _SOLVERS = ("exact", "sampled", "asymmetric", "equal-split")
+_DEFAULT_SAMPLES = 1000  # product-of-marginals draws and sampled-solver permutations
 _CONFIG_KEYS = (
     "dataset",
     "model",
@@ -116,6 +120,13 @@ def _resolve(args, key, cast=str):
         raise _fail(2, f"config key {key}: {exc}") from None
 
 
+def _resolve_n_samples(args):
+    n_samples = _resolve(args, "n_samples", int)
+    if n_samples is not None and n_samples < 1:
+        raise _fail(2, f"--n-samples must be at least 1, got {n_samples}")
+    return n_samples
+
+
 def _load_dataset(path) -> TabularDataset:
     if path is None:
         raise _fail(2, "a dataset is required (--dataset or config)")
@@ -152,7 +163,8 @@ def _resolve_model(token, arity: int):
     if model.arity > arity:
         raise _fail(3, f"tree model uses feature {model.arity - 1}, dataset has {arity} features")
     # trees may ignore trailing features; present the dataset arity
-    return CallableModel(arity, model.score)
+    model.arity = arity
+    return model
 
 
 def _parse_values(token: str, arity: int, what: str) -> list[float]:
@@ -160,6 +172,8 @@ def _parse_values(token: str, arity: int, what: str) -> list[float]:
         values = [float(v) for v in token.split(",")]
     except ValueError:
         raise _fail(2, f"malformed {what} {token!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise _fail(2, f"{what} {token!r} has a non-finite value")
     if len(values) != arity:
         raise _fail(2, f"{what} needs {arity} comma-separated values, got {len(values)}")
     return values
@@ -212,7 +226,8 @@ def _resolve_value_fn(token, data: TabularDataset, n_samples, seed) -> ValueFunc
     # product of marginals is always stochastic
     if seed is None:
         raise _fail(2, "product-of-marginals sampling requires --seed")
-    return ValueFunctionSpec(kind=kind, n_samples=n_samples or 1000, seed=seed)
+    n = _DEFAULT_SAMPLES if n_samples is None else n_samples
+    return ValueFunctionSpec(kind=kind, n_samples=n, seed=seed)
 
 
 def _parse_edges(token: str, data: TabularDataset) -> list[tuple[int, int]]:
@@ -254,7 +269,7 @@ def _solve(game, solver, data, edges_token, n_samples, seed, tolerance):
     if solver == "sampled":
         if seed is None:
             raise _fail(2, "the sampled solver requires --seed")
-        return sampled_shapley(game, n_samples or 1000, seed)
+        return sampled_shapley(game, _DEFAULT_SAMPLES if n_samples is None else n_samples, seed)
     if solver == "asymmetric":
         if edges_token is None:
             raise _fail(2, "the asymmetric solver requires --edges")
@@ -279,7 +294,7 @@ def _echo_config(command, **kwargs) -> dict:
 def _common_explain_audit(args):
     """Shared resolution pipeline for explain and audit."""
     data = _load_dataset(_resolve(args, "dataset"))
-    n_samples = _resolve(args, "n_samples", int)
+    n_samples = _resolve_n_samples(args)
     seed = _resolve(args, "seed", int)
     tolerance = _resolve(args, "tolerance", float)
     solver = _resolve(args, "solver") or "exact"
@@ -397,7 +412,7 @@ def cmd_scenario(args) -> int:
     if name != "all" and name not in SCENARIO_NAMES:
         raise _fail(2, f"unknown scenario {name!r} (choose from {', '.join(SCENARIO_NAMES)} or all)")
     seed = _resolve(args, "seed", int)
-    n_samples = _resolve(args, "n_samples", int)
+    n_samples = _resolve_n_samples(args)
     out = Path(_resolve(args, "out") or ".")
     names = SCENARIO_NAMES if name == "all" else (name,)
     all_passed = True
@@ -463,7 +478,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (EmptyConditioningSetError, ContinuousFeatureError, EnumerationCapError,
-            AllDummyInconsistencyError, ZeroCoverageError) as exc:
+            AllDummyInconsistencyError, ZeroCoverageError, NonFiniteScoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -1,15 +1,17 @@
 """Immutable tabular datasets backing the empirical value functions.
 
 CSV format: first line is a header of feature names, every following line is a
-row of decimal reals. An optional JSON sidecar schema maps feature names to a
-domain kind (``discrete`` or ``continuous``); columns without an entry default
-to discrete when every value is integral, continuous otherwise.
+row of finite decimal reals (``nan`` and ``inf`` are rejected at load). An
+optional JSON sidecar schema maps feature names to a domain kind (``discrete``
+or ``continuous``); columns without an entry default to discrete when every
+value is integral, continuous otherwise.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +72,12 @@ class TabularDataset:
                 if not line or (len(line) == 1 and not line[0].strip()):
                     continue
                 try:
-                    rows.append([float(v) for v in line])
+                    values = [float(v) for v in line]
                 except ValueError as exc:
                     raise DatasetError(f"{path}:{lineno}: {exc}") from None
+                if not all(math.isfinite(v) for v in values):
+                    raise DatasetError(f"{path}:{lineno}: non-finite value in {line!r}")
+                rows.append(values)
         kinds = None
         if schema_path is None:
             candidate = path.with_name(path.name + ".schema.json")

@@ -1,9 +1,15 @@
 """Deterministic model families with known closed-form attribution behavior.
 
-A predictive model is anything with an integer ``arity`` and a deterministic
-``score(row) -> float`` that is total on R^d: it must return a value even for
-inputs far off the data manifold, which is exactly what the interventional
-value functions exploit and what the out-of-distribution diagnostics probe.
+A predictive model is anything with an integer ``arity``, a deterministic
+``score(row) -> float`` and a batched ``predict(rows) -> ndarray`` that maps an
+``(m, d)`` block to its ``m`` scores. Both must be total on R^d: they return a
+value even for inputs far off the data manifold, which is exactly what the
+interventional value functions exploit and what the out-of-distribution
+diagnostics probe. The value functions score one block per coalition through
+``predict``; ``score`` serves scalar callers. Every family's ``predict``
+returns exactly ``[score(r) for r in rows]``, bit for bit. ``CallableModel``,
+which wraps an arbitrary per-row function, is the only family that scores a
+block one row at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ class PredictiveModel(Protocol):
 
     def score(self, row) -> float: ...
 
+    def predict(self, rows) -> np.ndarray: ...
+
 
 class LinearModel:
     """f(x) = intercept + coefficients . x"""
@@ -32,7 +40,12 @@ class LinearModel:
         self.arity = len(self.coefficients)
 
     def score(self, row) -> float:
-        return float(self.intercept + np.dot(self.coefficients, row))
+        return self.intercept + float(np.add.reduce(self.coefficients * row))
+
+    def predict(self, rows) -> np.ndarray:
+        # Row-wise pairwise sums of C-ordered products reproduce score's 1-D
+        # sum exactly; a matrix-vector product would not.
+        return self.intercept + np.multiply(rows, self.coefficients, order="C").sum(axis=1)
 
 
 class MultiplicativeModel:
@@ -47,6 +60,13 @@ class MultiplicativeModel:
             out *= float(v)
         return out
 
+    def predict(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=float)
+        out = np.ones(rows.shape[0])
+        for j in range(rows.shape[1]):  # left to right, as score multiplies
+            out *= rows[:, j]
+        return out
+
 
 class QuadraticRecourseModel:
     """Univariate f(x) = 2 - (x - 1)^2: the sign of an attribution says
@@ -55,8 +75,12 @@ class QuadraticRecourseModel:
     arity = 1
 
     def score(self, row) -> float:
-        x = float(row[0])
-        return 2.0 - (x - 1.0) ** 2
+        offset = float(row[0]) - 1.0
+        return 2.0 - offset * offset
+
+    def predict(self, rows) -> np.ndarray:
+        offset = np.asarray(rows, dtype=float)[:, 0] - 1.0
+        return 2.0 - offset * offset
 
 
 class CallableModel:
@@ -68,6 +92,9 @@ class CallableModel:
 
     def score(self, row) -> float:
         return float(self._fn(row))
+
+    def predict(self, rows) -> np.ndarray:
+        return np.array([float(self._fn(row)) for row in rows], dtype=float)
 
 
 class ScaffoldedModel:
@@ -85,13 +112,37 @@ class ScaffoldedModel:
         self.innocuous = innocuous
         self.membership = membership
         self.arity = biased.arity
-        self._rows = membership.row_set()
+        finite = membership.rows[~np.isnan(membership.rows).any(axis=1)]
+        self._keys = np.unique(_row_keys(finite))
+
+    def _is_member(self, rows) -> np.ndarray:
+        """Exact membership of each row, with the semantics of comparing
+        tuples of floats: -0.0 matches 0.0 and a NaN coordinate never matches."""
+        rows = np.asarray(rows, dtype=float)
+        keys = _row_keys(rows)
+        if not len(self._keys):
+            return np.zeros(len(keys), dtype=bool)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return (self._keys[pos] == keys) & ~np.isnan(rows).any(axis=1)
 
     def score(self, row) -> float:
-        key = tuple(float(v) for v in row)
-        if key in self._rows:
-            return float(self.biased.score(row))
-        return float(self.innocuous.score(row))
+        return float(self.predict(np.asarray(row, dtype=float)[None, :])[0])
+
+    def predict(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=float)
+        member = self._is_member(rows)
+        out = np.empty(rows.shape[0])
+        if member.any():
+            out[member] = self.biased.predict(rows[member])
+        if not member.all():
+            out[~member] = self.innocuous.predict(rows[~member])
+        return out
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque byte key per row; adding 0.0 folds -0.0 into 0.0 first."""
+    block = np.ascontiguousarray(rows + 0.0)
+    return block.view(np.dtype((np.void, block.dtype.itemsize * block.shape[1]))).ravel()
 
 
 def scaffold(biased, innocuous, data: TabularDataset) -> ScaffoldedModel:

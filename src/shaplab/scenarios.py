@@ -291,7 +291,7 @@ def run_recourse_scenario(n_samples: int = 100_000, seed: int = 0) -> ScenarioRe
     spec = ValueFunctionSpec(kind=MARGINAL_JOINT, n_samples=data.n_rows, seed=0)
     attr = exact_shapley_subsets(build_interventional_game(model, data, [1.0], spec))
 
-    scores = np.array([model.score([v]) for v in draws])
+    scores = model.predict(data.rows)
     se = float(scores.std(ddof=1) / math.sqrt(n_samples))
     report.claims.append(close("single-input value is f(1) - mean(f) = 2", 2.0, attr.values[0], 0.05))
     report.claims.append(close("estimated mean prediction is 0 (analytic: 2 - (Var+1))", 0.0, attr.base_value, 0.05))
@@ -455,7 +455,7 @@ def run_adversarial_scenario(seed: int = 0) -> ScenarioReport:
             1e-9,
         )
     )
-    disagreement = max(abs(masked.score(r) - biased.score(r)) for r in data.rows)
+    disagreement = float(np.max(np.abs(masked.predict(data.rows) - biased.predict(data.rows))))
     report.claims.append(close("scaffold matches the biased model on every dataset row", 0.0, disagreement, 0.0))
     return report
 

@@ -55,7 +55,11 @@ class TreeNode:
 
 
 class DecisionTree:
-    """Binary regression tree; rows with feature <= threshold go left."""
+    """Binary regression tree; rows with feature <= threshold go left.
+
+    ``score`` walks the nodes for one row; ``predict`` walks a block of rows
+    through node-index arrays built once at construction.
+    """
 
     def __init__(self, nodes: list[TreeNode]):
         if not nodes:
@@ -74,14 +78,36 @@ class DecisionTree:
                     raise TreeFormatError(
                         f"node {n.node_id} coverage {n.coverage} != children sum {child_cov}"
                     )
+        self.depth = self._check_shape()
+        feats = [n.feature for n in nodes if not n.is_leaf]
+        self.arity = max(feats) + 1 if feats else 1
+        self._arrays = _NodeArrays([self])
+
+    def _check_shape(self) -> int:
+        """Depth of the tree, once the root is shown to reach every node
+        exactly once: no cycles, no shared children, no orphans."""
+        seen = set()
+        depth = 0
+        stack = [(self.root_id, 0)]
+        while stack:
+            node_id, level = stack.pop()
+            if node_id in seen:
+                raise TreeFormatError(
+                    f"node {node_id} is reached twice from the root (a cycle or a shared child)"
+                )
+            seen.add(node_id)
+            node = self._by_id[node_id]
+            if node.is_leaf:
+                depth = max(depth, level)
+            else:
+                stack += [(node.left, level + 1), (node.right, level + 1)]
+        orphans = sorted(set(self._by_id) - seen)
+        if orphans:
+            raise TreeFormatError(f"nodes {orphans} are not reachable from the root {self.root_id}")
+        return depth
 
     def node(self, node_id: int) -> TreeNode:
         return self._by_id[node_id]
-
-    @property
-    def arity(self) -> int:
-        feats = [n.feature for n in self.nodes if not n.is_leaf]
-        return max(feats) + 1 if feats else 1
 
     def score(self, row) -> float:
         node = self._by_id[self.root_id]
@@ -89,18 +115,81 @@ class DecisionTree:
             node = self._by_id[node.left if row[node.feature] <= node.threshold else node.right]
         return node.value
 
+    def predict(self, rows) -> np.ndarray:
+        return self._arrays.leaf_values(rows)[:, 0]
+
 
 class TreeEnsemble:
-    """Sum of decision trees."""
+    """Sum of decision trees, walked together by ``predict``."""
 
     def __init__(self, trees: list[DecisionTree]):
         if not trees:
             raise TreeFormatError("an ensemble needs at least one tree")
         self.trees = list(trees)
         self.arity = max(t.arity for t in trees)
+        self._arrays = _NodeArrays(self.trees)
 
     def score(self, row) -> float:
         return sum(t.score(row) for t in self.trees)
+
+    def predict(self, rows) -> np.ndarray:
+        leaves = self._arrays.leaf_values(rows)
+        out = np.zeros(leaves.shape[0])
+        for column in leaves.T:  # tree by tree from 0.0, as score's sum adds
+            out += column
+        return out
+
+
+class _NodeArrays:
+    """The nodes of one or more trees as flat arrays indexed by position.
+
+    Leaves point to themselves on both sides, so a walk of ``depth`` steps
+    leaves every row at its leaf in every tree without masking.
+    """
+
+    def __init__(self, trees: list[DecisionTree]):
+        feature, threshold, left, right, value, roots = [], [], [], [], [], []
+        for tree in trees:
+            offset = len(feature)
+            position = {n.node_id: offset + k for k, n in enumerate(tree.nodes)}
+            roots.append(position[tree.root_id])
+            for n in tree.nodes:
+                here = position[n.node_id]
+                feature.append(0 if n.is_leaf else n.feature)
+                threshold.append(n.threshold)
+                left.append(here if n.is_leaf else position[n.left])
+                right.append(here if n.is_leaf else position[n.right])
+                value.append(n.value)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=float)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.array(value, dtype=float)
+        self.roots = np.array(roots, dtype=np.intp)
+        self.depth = max(t.depth for t in trees)
+        self.width = max(t.arity for t in trees)
+
+    def leaf_values(self, rows) -> np.ndarray:
+        """(m, n_trees) leaf values reached by each row in each tree."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] < self.width:
+            raise ValueError(f"expected an (m, >= {self.width}) block of rows, got shape {rows.shape}")
+        # bounded chunks keep the walk's temporaries small on large blocks
+        chunks = range(0, max(rows.shape[0], 1), _WALK_ROWS)
+        return np.concatenate([self._walk(rows[k:k + _WALK_ROWS]) for k in chunks])
+
+    def _walk(self, rows: np.ndarray) -> np.ndarray:
+        m, d = rows.shape
+        flat = rows.ravel()
+        base = np.arange(0, m * d, d)[:, None]
+        node = np.zeros((m, 1), dtype=np.intp) + self.roots
+        for _ in range(self.depth):
+            go_left = flat[base + self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]
+
+
+_WALK_ROWS = 1024
 
 
 def tree_conditional_expectation(tree, x, known: Coalition) -> float:

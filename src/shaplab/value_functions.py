@@ -10,15 +10,20 @@ Two families of value function are provided and deliberately never conflated:
   distribution — whole background rows (marginal-joint), independent empirical
   marginals per feature (product-of-marginals), or one fixed reference row.
 
-Replacement-source rows are drawn once per (seed, dataset, sample budget) with
-a counter-based Philox generator and shared across coalitions. The sharing is
-what makes a feature with no interventional effect come out at exactly zero
-even under sampling: the hybrid sets for S and S+i then differ only in
-coordinate i.
+Replacement-source rows are drawn once per game from a counter-based Philox
+generator keyed by (seed, dataset, sample budget) and shared across
+coalitions. The sharing is what makes a feature with no interventional effect
+come out at exactly zero even under sampling: the hybrid sets for S and S+i
+then differ only in coordinate i.
+
+Every oracle scores one block of rows per coalition through the model's
+``predict`` and rejects a non-finite mean; ``generate_hybrids`` returns the
+same rows, with their provenance, for inspection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,6 +50,19 @@ class EmptyConditioningSetError(ValueError):
             "no dataset row matches the instance on coalition "
             f"{{{', '.join(names)}}} (mask {coalition.mask:#x}); conditional "
             "games require every realized conditioning set to be populated"
+        )
+
+
+class NonFiniteScoreError(ValueError):
+    """A coalition's mean model score is NaN or infinite."""
+
+    def __init__(self, coalition: Coalition, feature_names):
+        self.coalition = coalition
+        names = [feature_names[i] for i in coalition.members]
+        super().__init__(
+            "the mean model score on the rows of coalition "
+            f"{{{', '.join(names)}}} (mask {coalition.mask:#x}) is not finite: "
+            "the model returned NaN or an infinity, or the scores overflow"
         )
 
 
@@ -111,8 +129,11 @@ def _rng(spec: ValueFunctionSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
 
 
-def _replacement_rows(data: TabularDataset, spec: ValueFunctionSpec) -> np.ndarray:
-    """Row indices feeding the replacements, shared across all coalitions."""
+def _replacement_rows(data: TabularDataset, spec: ValueFunctionSpec) -> np.ndarray | None:
+    """Row indices feeding the replacements, shared across all coalitions;
+    None for single-reference, which replaces from its reference row."""
+    if spec.kind == SINGLE_REFERENCE:
+        return None
     if spec.kind == MARGINAL_JOINT:
         if spec.n_samples >= data.n_rows:
             return np.arange(data.n_rows)  # deterministic full pass
@@ -122,30 +143,36 @@ def _replacement_rows(data: TabularDataset, spec: ValueFunctionSpec) -> np.ndarr
     raise ValueError(f"{spec.kind} does not sample replacement rows")
 
 
-def _hybrid_matrix(data: TabularDataset, x: np.ndarray, keep: Coalition, spec: ValueFunctionSpec):
-    """Hybrid values (one row per sample) plus per-sample provenance."""
-    d = data.n_features
-    if keep.mask == (1 << d) - 1:
-        return x[None, :].copy(), [None]
-    keep_arr = np.array([keep.contains(j) for j in range(d)])
+def _replacement_values(data: TabularDataset, spec: ValueFunctionSpec, idx) -> np.ndarray:
+    """One row of replacement values per sample, from the drawn indices."""
     if spec.kind == SINGLE_REFERENCE:
-        ref = np.asarray(spec.reference, dtype=float)
-        hybrid = np.where(keep_arr, x, ref)
-        return hybrid[None, :], ["reference"]
-    idx = _replacement_rows(data, spec)
+        return np.asarray(spec.reference, dtype=float)[None, :]
     if spec.kind == MARGINAL_JOINT:
-        hybrids = np.where(keep_arr[None, :], x[None, :], data.rows[idx])
-        return hybrids, [int(i) for i in idx]
+        return data.rows[idx]
     # product-of-marginals: feature j of sample k comes from row idx[k, j]
-    n = idx.shape[0]
-    hybrids = np.tile(x, (n, 1))
-    prov = []
-    replaced = [j for j in range(d) if not keep_arr[j]]
-    for j in replaced:
-        hybrids[:, j] = data.rows[idx[:, j], j]
-    for k in range(n):
-        prov.append({j: int(idx[k, j]) for j in replaced})
-    return hybrids, prov
+    return data.rows[idx, np.arange(data.n_features)]
+
+
+def _keep_mask(coalition: Coalition) -> np.ndarray:
+    # contains(), not members: a generator-built tuple per coalition left the
+    # process about 1 MB larger after a few dozen table builds
+    return np.array([coalition.contains(j) for j in range(coalition.n_players)], dtype=bool)
+
+
+def _hybrid_matrix(x: np.ndarray, keep: Coalition, replacements: np.ndarray) -> np.ndarray:
+    """Hybrid values, one row per sample; the grand coalition is the instance."""
+    if keep.mask == (1 << keep.n_players) - 1:
+        return x[None, :].copy()
+    return np.where(_keep_mask(keep), x, replacements)
+
+
+def _mean_score(model, rows: np.ndarray, coalition: Coalition, data: TabularDataset) -> float:
+    """Mean model score over one block of rows, which must be finite."""
+    with np.errstate(all="ignore"):  # reported below, naming the coalition
+        value = float(np.mean(model.predict(rows)))
+    if not math.isfinite(value):
+        raise NonFiniteScoreError(coalition, data.feature_names)
+    return value
 
 
 def generate_hybrids(
@@ -158,7 +185,17 @@ def generate_hybrids(
     if spec.kind == CONDITIONAL:
         raise ValueError("conditional-empirical games do not use hybrid samples")
     x = _check_instance(data, x)
-    hybrids, prov = _hybrid_matrix(data, x, keep, spec)
+    idx = _replacement_rows(data, spec)
+    hybrids = _hybrid_matrix(x, keep, _replacement_values(data, spec, idx))
+    if keep.mask == (1 << data.n_features) - 1:
+        prov = [None]
+    elif spec.kind == SINGLE_REFERENCE:
+        prov = ["reference"]
+    elif spec.kind == MARGINAL_JOINT:
+        prov = [int(i) for i in idx]
+    else:
+        replaced = [j for j in range(data.n_features) if not keep.contains(j)]
+        prov = [{j: int(row[j]) for j in replaced} for row in idx]
     return [
         HybridSample(tuple(float(v) for v in row), keep, p)
         for row, p in zip(hybrids, prov)
@@ -177,11 +214,10 @@ def build_interventional_game(model, data: TabularDataset, x, spec: ValueFunctio
     xv = _check_instance(data, x)
     if model.arity != data.n_features:
         raise ValueError(f"model arity {model.arity} != dataset features {data.n_features}")
+    replacements = _replacement_values(data, spec, _replacement_rows(data, spec))
 
     def oracle(coalition: Coalition) -> float:
-        hybrids, _ = _hybrid_matrix(data, xv, coalition, spec)
-        scores = [model.score(row) for row in hybrids]
-        return float(np.mean(scores))
+        return _mean_score(model, _hybrid_matrix(xv, coalition, replacements), coalition, data)
 
     return CoalitionGame(data.n_features, oracle)
 
@@ -201,22 +237,16 @@ def build_conditional_game(model, data: TabularDataset, x) -> CoalitionGame:
         raise ValueError(f"model arity {model.arity} != dataset features {data.n_features}")
     rows = data.rows
     d = data.n_features
+    equal = rows == xv[None, :]  # per-feature matches, shared by every coalition
 
     def oracle(coalition: Coalition) -> float:
         if coalition.mask == (1 << d) - 1:
-            return float(model.score(xv))
-        members = coalition.members
-        if members:
-            match = np.all(rows[:, members] == xv[list(members)], axis=1)
-            matched = rows[match]
-        else:
-            matched = rows
+            return _mean_score(model, xv[None, :], coalition, data)
+        keep = _keep_mask(coalition)
+        matched = rows[equal[:, keep].all(axis=1)]
         if matched.shape[0] == 0:
             raise EmptyConditioningSetError(coalition, data.feature_names)
-        keep_arr = np.array([coalition.contains(j) for j in range(d)])
-        hybrids = np.where(keep_arr[None, :], xv[None, :], matched)
-        scores = [model.score(row) for row in hybrids]
-        return float(np.mean(scores))
+        return _mean_score(model, np.where(keep, xv, matched), coalition, data)
 
     return CoalitionGame(d, oracle)
 
@@ -250,17 +280,15 @@ def ood_fraction(
 def _assert_interventionally_inert(model, data: TabularDataset, x: np.ndarray, feature: int) -> None:
     """Scan the evaluation grid: substituting the feature must never move f."""
     substitutes = np.unique(np.append(data.column(feature), x[feature]))
-    grid = np.vstack([data.rows, x[None, :]])
-    for base in grid:
-        expected = model.score(base)
-        probe = base.copy()
-        for u in substitutes:
-            probe[feature] = u
-            if model.score(probe) != expected:
-                raise ValueError(
-                    f"feature {data.feature_names[feature]} is not "
-                    "interventionally inert: substituting it changes the model output"
-                )
+    probe = np.vstack([data.rows, x[None, :]])
+    expected = model.predict(probe)
+    for u in substitutes:
+        probe[:, feature] = u
+        if np.any(model.predict(probe) != expected):
+            raise ValueError(
+                f"feature {data.feature_names[feature]} is not "
+                "interventionally inert: substituting it changes the model output"
+            )
 
 
 def indirect_influence_gap(model, data: TabularDataset, x, feature: int) -> tuple[float, float]:

@@ -11,12 +11,13 @@ REPO = Path(__file__).resolve().parent.parent
 INDEPENDENT = REPO / "data" / "independent.csv"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "shaplab", *args],
         capture_output=True,
         text=True,
         cwd=cwd or REPO,
+        timeout=timeout,
     )
 
 
@@ -156,6 +157,66 @@ class TestExitCodes:
 
     def test_unknown_scenario(self, out_dir):
         result = run_cli("scenario", "nosuch", "--out", str(out_dir))
+        assert result.returncode == 2
+
+    def test_cyclic_tree_file_is_load_error(self, out_dir, tmp_path):
+        tree_file = tmp_path / "cyclic.tree"
+        tree_file.write_text("0 split 0 0.5 0 1 5\n1 leaf 1.0 0\n")
+        result = run_cli(
+            "explain", "--dataset", str(INDEPENDENT), "--model", str(tree_file),
+            "--instance", "0,0,0", "--out", str(out_dir), timeout=60,
+        )
+        assert result.returncode == 3
+        assert "reached twice" in result.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_value_is_load_error(self, out_dir, tmp_path, value):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(f"a,b\n0,1\n1,{value}\n")
+        result = run_cli(
+            "explain", "--dataset", str(csv), "--model", "linear:0,1,1",
+            "--instance", "0", "--out", str(out_dir),
+        )
+        assert result.returncode == 3
+        assert f"{csv}:3" in result.stderr
+        assert not (out_dir / "attribution.json").exists()
+
+    def test_non_finite_model_output_names_coalition(self, out_dir):
+        result = run_cli(
+            "explain", "--dataset", str(INDEPENDENT), "--model", "linear:0,1e307,1e307,0",
+            "--instance", "10,10,0", "--out", str(out_dir),
+        )
+        assert result.returncode == 4
+        assert "not finite" in result.stderr and "{x1}" in result.stderr
+        assert not (out_dir / "attribution.json").exists()
+
+    def test_non_finite_instance_is_config_error(self, out_dir):
+        result = run_cli(
+            "explain", "--dataset", str(INDEPENDENT), "--model", "multiplicative",
+            "--instance", "1,nan,0", "--out", str(out_dir),
+        )
+        assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--value-fn", "product-of-marginals", "--seed", "1"],
+            ["--value-fn", "marginal-joint", "--seed", "1"],
+            ["--solver", "sampled", "--seed", "1"],
+        ],
+        ids=["product-of-marginals", "marginal-joint", "sampled"],
+    )
+    @pytest.mark.parametrize("n_samples", ["0", "-3"])
+    def test_n_samples_below_one_is_config_error(self, out_dir, extra, n_samples):
+        result = run_cli(
+            "explain", "--dataset", str(INDEPENDENT), "--model", "multiplicative",
+            "--instance", "0", "--n-samples", n_samples, *extra, "--out", str(out_dir),
+        )
+        assert result.returncode == 2
+        assert "--n-samples" in result.stderr
+
+    def test_scenario_n_samples_below_one_is_config_error(self, out_dir):
+        result = run_cli("scenario", "recourse", "--n-samples", "0", "--out", str(out_dir))
         assert result.returncode == 2
 
 

@@ -71,6 +71,14 @@ def test_csv_malformed_value(tmp_path):
         TabularDataset.from_csv(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_csv_non_finite_value(tmp_path, value):
+    path = tmp_path / "d.csv"
+    path.write_text(f"x1,x2\n0,1\n{value},2\n")
+    with pytest.raises(DatasetError, match=f"{path}:3: non-finite"):
+        TabularDataset.from_csv(path)
+
+
 def test_helpers():
     data = TabularDataset(["a", "b"], [[0, 2], [1, 4]])
     assert data.column("b").tolist() == [2.0, 4.0]

@@ -130,3 +130,62 @@ class TestScaffold:
         assert max(abs(model.score(r) - biased.score(r)) for r in data.rows) == 0.0
         off = [1.0, 999.0]
         assert model.score(off) != biased.score(off)
+
+
+class TestPredict:
+    """``predict(block)`` is ``[score(r) for r in block]``, bit for bit."""
+
+    @pytest.fixture
+    def block(self):
+        rng = np.random.default_rng(11)
+        on_data = rng.integers(-2, 3, size=(20, 3)).astype(float)
+        off_data = rng.standard_normal((20, 3)) * 10.0 ** rng.integers(-6, 7, size=(20, 3))
+        return np.vstack([on_data, off_data, np.zeros((1, 3)), -np.zeros((1, 3))])
+
+    @staticmethod
+    def assert_matches_score(model, block):
+        scores = np.array([model.score(row) for row in block])
+        predicted = model.predict(block)
+        assert predicted.shape == (len(block),)
+        assert predicted.tolist() == scores.tolist()
+
+    def test_linear(self, block):
+        self.assert_matches_score(LinearModel(0.3, [2.5, -1.0, 1e-3]), block)
+
+    def test_linear_wide(self):
+        rng = np.random.default_rng(2)
+        for d in (1, 7, 8, 9, 33, 130):
+            model = LinearModel(rng.standard_normal(), rng.standard_normal(d))
+            self.assert_matches_score(model, rng.standard_normal((50, d)) * 1e3)
+
+    def test_multiplicative(self, block):
+        self.assert_matches_score(MultiplicativeModel(3), block)
+
+    def test_recourse(self, block):
+        self.assert_matches_score(QuadraticRecourseModel(), block[:, :1])
+
+    def test_callable(self, block):
+        self.assert_matches_score(CallableModel(3, lambda r: r[0] * r[1] - r[2]), block)
+
+    def test_scaffold(self, block):
+        data = TabularDataset(["a", "b", "c"], block[:20])
+        model = scaffold(LinearModel(1.0, [1.0, 2.0, 3.0]), CallableModel(3, lambda r: -5.0), data)
+        self.assert_matches_score(model, block)
+        assert (model.predict(block[:20]) != -5.0).all()
+        assert (model.predict(block[20:40]) == -5.0).all()
+
+    def test_scaffold_membership_is_tuple_equality(self):
+        """-0.0 matches 0.0, as tuples of floats compare; NaN never matches."""
+        nan = float("nan")
+        data = TabularDataset(["a", "b"], [[0.0, 1.0], [-0.0, 2.0], [3.0, nan]])
+        model = scaffold(LinearModel(0.0, [1.0, 1.0]), CallableModel(2, lambda r: 0.5), data)
+        queries = np.array([[-0.0, 1.0], [0.0, 2.0], [0.0, 1.0], [3.0, nan], [0.0, 3.0]])
+        members = data.row_set()
+        expected = [sum(q) if tuple(q) in members else 0.5 for q in queries.tolist()]
+        assert expected == [1.0, 2.0, 1.0, 0.5, 0.5]
+        assert model.predict(queries).tolist() == expected
+        assert [model.score(q) for q in queries] == expected
+
+    def test_empty_block(self):
+        for model in (LinearModel(0.0, [1.0]), MultiplicativeModel(1), CallableModel(1, float)):
+            assert model.predict(np.empty((0, 1))).shape == (0,)

@@ -177,3 +177,99 @@ class TestSerialization:
                     TreeNode(2, -1, 0.0, -1, -1, 1.0, 1),
                 ]
             )
+
+
+class TestPredict:
+    """``predict(block)`` is ``[score(r) for r in block]``, bit for bit."""
+
+    @pytest.fixture
+    def fitted(self):
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((60, 4))
+        data = TabularDataset([f"x{j}" for j in range(4)], rows)
+        target = rows[:, 0] * rows[:, 1] + np.sin(rows[:, 2])
+        trees, residual = [], target
+        for _ in range(3):
+            tree = build_tree_from_data(data, residual, max_depth=4)
+            trees.append(tree)
+            residual = residual - np.array([tree.score(r) for r in rows])
+        off_data = rng.standard_normal((40, 4)) * 100.0
+        block = np.vstack([rows, off_data])
+        block[::9, 1] = np.nan  # NaN fails every <= test and goes right
+        return trees, block
+
+    @staticmethod
+    def assert_matches_score(model, block):
+        assert model.predict(block).tolist() == [model.score(r) for r in block]
+
+    def test_single_tree(self, fitted):
+        trees, block = fitted
+        self.assert_matches_score(trees[0], block)
+
+    def test_ensemble(self, fitted):
+        trees, block = fitted
+        self.assert_matches_score(TreeEnsemble(trees), block)
+        self.assert_matches_score(TreeEnsemble([stump(), trees[1], stump(0.0, -0.0, 2.0)]), block)
+
+    def test_single_leaf_tree(self, fitted):
+        _, block = fitted
+        leaf = DecisionTree([TreeNode(7, -1, 0.0, -1, -1, -0.0, 3)])
+        self.assert_matches_score(leaf, block)
+        self.assert_matches_score(TreeEnsemble([leaf, leaf]), block)
+
+    def test_loaded_ensemble(self, fitted):
+        trees, block = fitted
+        loaded = load_tree_text(dump_tree_text(TreeEnsemble(trees)))
+        self.assert_matches_score(loaded, block)
+
+    def test_large_block_in_chunks(self, fitted):
+        trees, _ = fitted
+        rows = np.random.default_rng(9).standard_normal((2500, 4))
+        self.assert_matches_score(TreeEnsemble(trees), rows)
+
+    def test_narrow_block_rejected(self):
+        with pytest.raises(ValueError):
+            stump().predict(np.zeros((3, 0)))
+
+
+class TestShape:
+    """The root must reach every node exactly once."""
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(TreeFormatError, match="reached twice"):
+            load_tree_text("0 split 0 0.5 0 1 5\n1 leaf 1.0 0\n")
+
+    def test_cycle_through_descendant_rejected(self):
+        with pytest.raises(TreeFormatError, match="reached twice"):
+            DecisionTree(
+                [
+                    TreeNode(0, 0, 0.5, 1, 2, 0.0, 4),
+                    TreeNode(1, 0, 0.2, 0, 3, 0.0, 4),
+                    TreeNode(2, -1, 0.0, -1, -1, 1.0, 0),
+                    TreeNode(3, -1, 0.0, -1, -1, 1.0, 0),
+                ]
+            )
+
+    def test_shared_child_rejected(self):
+        with pytest.raises(TreeFormatError, match="reached twice"):
+            DecisionTree(
+                [
+                    TreeNode(0, 0, 0.5, 1, 1, 0.0, 4),
+                    TreeNode(1, -1, 0.0, -1, -1, 1.0, 2),
+                ]
+            )
+
+    def test_orphan_rejected(self):
+        with pytest.raises(TreeFormatError, match="not reachable"):
+            DecisionTree(
+                [
+                    TreeNode(0, 0, 0.5, 1, 2, 0.0, 2),
+                    TreeNode(1, -1, 0.0, -1, -1, 0.0, 1),
+                    TreeNode(2, -1, 0.0, -1, -1, 1.0, 1),
+                    TreeNode(3, -1, 0.0, -1, -1, 9.0, 1),
+                ]
+            )
+
+    def test_depth(self):
+        assert stump().depth == 1
+        assert DecisionTree([TreeNode(0, -1, 0.0, -1, -1, 1.0, 1)]).depth == 0

@@ -16,6 +16,7 @@ from shaplab import (
     LinearModel,
     MARGINAL_JOINT,
     MultiplicativeModel,
+    NonFiniteScoreError,
     PRODUCT_OF_MARGINALS,
     SINGLE_REFERENCE,
     CONDITIONAL,
@@ -176,6 +177,74 @@ class TestInterventionalGame:
         interv = build_interventional_game(model, uniform2, x, spec)
         for mask in range(4):
             assert cond.value_mask(mask) == pytest.approx(interv.value_mask(mask), abs=1e-9)
+
+
+class RecordingModel:
+    """A linear model that keeps a copy of every block it is asked to score."""
+
+    def __init__(self, arity):
+        self.arity = arity
+        self._inner = LinearModel(0.5, np.arange(1.0, arity + 1.0))
+        self.blocks = []
+
+    def predict(self, rows):
+        self.blocks.append(np.array(rows, copy=True))
+        return self._inner.predict(rows)
+
+
+class TestScoredRows:
+    """The rows an oracle scores for a coalition are exactly generate_hybrids'
+    rows, so the out-of-distribution diagnostics describe what is scored."""
+
+    @pytest.fixture
+    def data(self):
+        rng = np.random.default_rng(6)
+        return TabularDataset(["a", "b", "c"], rng.standard_normal((9, 3)))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ValueFunctionSpec(kind=MARGINAL_JOINT, n_samples=9, seed=0),
+            ValueFunctionSpec(kind=MARGINAL_JOINT, n_samples=5, seed=3),
+            ValueFunctionSpec(kind=PRODUCT_OF_MARGINALS, n_samples=7, seed=3),
+            ValueFunctionSpec(kind=SINGLE_REFERENCE, reference=(-1.0, 0.0, 2.0)),
+        ],
+        ids=["marginal-joint-full", "marginal-joint-sampled", "product-of-marginals", "single-reference"],
+    )
+    def test_oracle_scores_generated_hybrids(self, data, spec):
+        x = [0.25, -0.0, 4.0]
+        model = RecordingModel(3)
+        game = build_interventional_game(model, data, x, spec)  # scores the empty coalition
+        for mask in range(8):
+            game.value_mask(mask)
+            hybrids = generate_hybrids(data, x, Coalition(mask, 3), spec)
+            assert model.blocks[mask].tolist() == [list(h.values) for h in hybrids]
+        assert len(model.blocks) == 8
+
+    def test_table_scores_one_block_per_coalition(self, data):
+        model = RecordingModel(3)
+        spec = ValueFunctionSpec(kind=PRODUCT_OF_MARGINALS, n_samples=4, seed=1)
+        game = build_interventional_game(model, data, [0.0, 0.0, 0.0], spec)
+        game.table()
+        assert game.oracle_calls == 8
+        assert [len(b) for b in model.blocks] == [4] * 7 + [1]
+
+
+class TestNonFiniteScores:
+    def test_interventional_names_the_coalition(self, uniform2):
+        model = CallableModel(2, lambda r: float("inf") if r[0] == 5.0 else r[1])
+        spec = ValueFunctionSpec(kind=MARGINAL_JOINT, n_samples=uniform2.n_rows, seed=0)
+        game = build_interventional_game(model, uniform2, [5.0, 1.0], spec)
+        with pytest.raises(NonFiniteScoreError, match=r"\{x1\} \(mask 0x1\)"):
+            game.value_mask(0b01)
+        assert game.value_mask(0b10) == 1.0
+
+    def test_conditional_names_the_coalition(self, uniform2):
+        model = CallableModel(2, lambda r: float("nan") if r[1] == 2.0 else 0.0)
+        game = build_conditional_game(model, uniform2, [1.0, 2.0])
+        assert game.value_mask(0b01) == 0.0
+        with pytest.raises(NonFiniteScoreError, match=r"\{x1, x2\}"):
+            game.grand_value
 
 
 class TestValueFunctionSpec:
