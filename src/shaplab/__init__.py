@@ -8,7 +8,6 @@ from .games import (
     CyclicPrecedenceError,
     EnumerationCapError,
     PrecedenceOrder,
-    marginal_contribution,
 )
 from .solvers import (
     AllDummyInconsistencyError,

@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract:
   0 success
-  2 malformed configuration (bad flags, unknown scenario, missing seed, cycles)
+  2 malformed configuration (bad flags, unknown scenario, missing or
+    negative seed, cycles)
   3 dataset or model load failure
   4 computation failure (empty conditioning set, continuous features,
     enumeration caps, non-finite model output); the offending coalition is
@@ -82,26 +83,22 @@ class CliError(Exception):
         self.code = code
 
 
-def _fail(code: int, message: str) -> CliError:
-    return CliError(code, message)
-
-
 def _load_config_file(path) -> dict:
     values = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise _fail(2, f"cannot read config file: {exc}") from None
+        raise CliError(2, f"cannot read config file: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise _fail(2, f"{path}:{lineno}: expected key = value")
+            raise CliError(2, f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
         if key not in _CONFIG_KEYS:
-            raise _fail(2, f"{path}:{lineno}: unknown config key {key!r}")
+            raise CliError(2, f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
     return values
 
@@ -117,51 +114,58 @@ def _resolve(args, key, cast=str):
     try:
         return cast(raw)
     except ValueError as exc:
-        raise _fail(2, f"config key {key}: {exc}") from None
+        raise CliError(2, f"config key {key}: {exc}") from None
 
 
 def _resolve_n_samples(args):
     n_samples = _resolve(args, "n_samples", int)
     if n_samples is not None and n_samples < 1:
-        raise _fail(2, f"--n-samples must be at least 1, got {n_samples}")
+        raise CliError(2, f"--n-samples must be at least 1, got {n_samples}")
     return n_samples
+
+
+def _resolve_seed(args):
+    seed = _resolve(args, "seed", int)
+    if seed is not None and seed < 0:
+        raise CliError(2, f"--seed must be non-negative, got {seed}")
+    return seed
 
 
 def _load_dataset(path) -> TabularDataset:
     if path is None:
-        raise _fail(2, "a dataset is required (--dataset or config)")
+        raise CliError(2, "a dataset is required (--dataset or config)")
     try:
         return TabularDataset.from_csv(path)
     except (OSError, DatasetError) as exc:
-        raise _fail(3, f"cannot load dataset: {exc}") from None
+        raise CliError(3, f"cannot load dataset: {exc}") from None
 
 
 def _resolve_model(token, arity: int):
     if token is None:
-        raise _fail(2, "a model is required (--model or config)")
+        raise CliError(2, "a model is required (--model or config)")
     if token.startswith("linear:"):
         try:
             params = [float(v) for v in token[len("linear:"):].split(",")]
         except ValueError:
-            raise _fail(2, f"malformed linear model spec {token!r}") from None
+            raise CliError(2, f"malformed linear model spec {token!r}") from None
         if len(params) != arity + 1:
-            raise _fail(2, f"linear model needs intercept plus {arity} coefficients")
+            raise CliError(2, f"linear model needs intercept plus {arity} coefficients")
         return LinearModel(params[0], params[1:])
     if token == "multiplicative":
         return MultiplicativeModel(arity)
     if token == "recourse":
         if arity != 1:
-            raise _fail(2, "the recourse model is univariate")
+            raise CliError(2, "the recourse model is univariate")
         return QuadraticRecourseModel()
     path = Path(token)
     if not path.exists():
-        raise _fail(3, f"model {token!r} is neither a builtin (linear:..., multiplicative, recourse) nor a readable file")
+        raise CliError(3, f"model {token!r} is neither a builtin (linear:..., multiplicative, recourse) nor a readable file")
     try:
         model = load_tree(path)
     except (OSError, TreeFormatError) as exc:
-        raise _fail(3, f"cannot load tree model: {exc}") from None
+        raise CliError(3, f"cannot load tree model: {exc}") from None
     if model.arity > arity:
-        raise _fail(3, f"tree model uses feature {model.arity - 1}, dataset has {arity} features")
+        raise CliError(3, f"tree model uses feature {model.arity - 1}, dataset has {arity} features")
     # trees may ignore trailing features; present the dataset arity
     model.arity = arity
     return model
@@ -171,24 +175,24 @@ def _parse_values(token: str, arity: int, what: str) -> list[float]:
     try:
         values = [float(v) for v in token.split(",")]
     except ValueError:
-        raise _fail(2, f"malformed {what} {token!r}") from None
+        raise CliError(2, f"malformed {what} {token!r}") from None
     if not all(math.isfinite(v) for v in values):
-        raise _fail(2, f"{what} {token!r} has a non-finite value")
+        raise CliError(2, f"{what} {token!r} has a non-finite value")
     if len(values) != arity:
-        raise _fail(2, f"{what} needs {arity} comma-separated values, got {len(values)}")
+        raise CliError(2, f"{what} needs {arity} comma-separated values, got {len(values)}")
     return values
 
 
 def _resolve_instance(token, data: TabularDataset) -> np.ndarray:
     if token is None:
-        raise _fail(2, "an instance is required (--instance or config)")
+        raise CliError(2, "an instance is required (--instance or config)")
     if "," not in token:
         try:
             index = int(token)
         except ValueError:
-            raise _fail(2, f"instance must be a row index or comma-separated values, got {token!r}") from None
+            raise CliError(2, f"instance must be a row index or comma-separated values, got {token!r}") from None
         if not 0 <= index < data.n_rows:
-            raise _fail(3, f"instance row {index} out of range (dataset has {data.n_rows} rows)")
+            raise CliError(3, f"instance row {index} out of range (dataset has {data.n_rows} rows)")
         return data.row(index)
     return np.asarray(_parse_values(token, data.n_features, "instance"), dtype=float)
 
@@ -198,34 +202,34 @@ def _resolve_value_fn(token, data: TabularDataset, n_samples, seed) -> ValueFunc
         token = "marginal-joint"
     kind_token, _, ref_token = token.partition(":")
     if kind_token not in _VALUE_FN_TOKENS:
-        raise _fail(2, f"unknown value function {kind_token!r} (choose from {', '.join(_VALUE_FN_TOKENS)})")
+        raise CliError(2, f"unknown value function {kind_token!r} (choose from {', '.join(_VALUE_FN_TOKENS)})")
     kind = _VALUE_FN_TOKENS[kind_token]
     if kind == CONDITIONAL:
         return ValueFunctionSpec(kind=kind)
     if kind == SINGLE_REFERENCE:
         if not ref_token:
-            raise _fail(2, "single-reference needs a reference: --value-fn single-reference:IDX or :v1,v2,...")
+            raise CliError(2, "single-reference needs a reference: --value-fn single-reference:IDX or :v1,v2,...")
         if "," in ref_token:
             reference = _parse_values(ref_token, data.n_features, "reference")
         else:
             try:
                 index = int(ref_token)
             except ValueError:
-                raise _fail(2, f"malformed reference {ref_token!r}") from None
+                raise CliError(2, f"malformed reference {ref_token!r}") from None
             if not 0 <= index < data.n_rows:
-                raise _fail(3, f"reference row {index} out of range")
+                raise CliError(3, f"reference row {index} out of range")
             reference = [float(v) for v in data.row(index)]
         return ValueFunctionSpec(kind=kind, reference=tuple(reference))
     if ref_token:
-        raise _fail(2, f"{kind_token} takes no reference suffix")
+        raise CliError(2, f"{kind_token} takes no reference suffix")
     if kind == MARGINAL_JOINT:
         n = data.n_rows if n_samples is None else n_samples
         if n < data.n_rows and seed is None:
-            raise _fail(2, "sub-full marginal-joint sampling requires --seed")
+            raise CliError(2, "sub-full marginal-joint sampling requires --seed")
         return ValueFunctionSpec(kind=kind, n_samples=n, seed=seed or 0)
     # product of marginals is always stochastic
     if seed is None:
-        raise _fail(2, "product-of-marginals sampling requires --seed")
+        raise CliError(2, "product-of-marginals sampling requires --seed")
     n = _DEFAULT_SAMPLES if n_samples is None else n_samples
     return ValueFunctionSpec(kind=kind, n_samples=n, seed=seed)
 
@@ -237,11 +241,11 @@ def _parse_edges(token: str, data: TabularDataset) -> list[tuple[int, int]]:
         if not part:
             continue
         if "->" not in part:
-            raise _fail(2, f"edge {part!r} must look like ancestor->descendant")
+            raise CliError(2, f"edge {part!r} must look like ancestor->descendant")
         a_tok, d_tok = (s.strip() for s in part.split("->", 1))
         edges.append((_player_index(a_tok, data), _player_index(d_tok, data)))
     if not edges:
-        raise _fail(2, "no edges parsed from --edges")
+        raise CliError(2, "no edges parsed from --edges")
     return edges
 
 
@@ -251,9 +255,9 @@ def _player_index(token: str, data: TabularDataset) -> int:
     try:
         index = int(token)
     except ValueError:
-        raise _fail(2, f"unknown feature {token!r} in --edges") from None
+        raise CliError(2, f"unknown feature {token!r} in --edges") from None
     if not 0 <= index < data.n_features:
-        raise _fail(2, f"edge index {index} out of range")
+        raise CliError(2, f"edge index {index} out of range")
     return index
 
 
@@ -268,19 +272,19 @@ def _solve(game, solver, data, edges_token, n_samples, seed, tolerance):
         return exact_shapley_subsets(game)
     if solver == "sampled":
         if seed is None:
-            raise _fail(2, "the sampled solver requires --seed")
+            raise CliError(2, "the sampled solver requires --seed")
         return sampled_shapley(game, _DEFAULT_SAMPLES if n_samples is None else n_samples, seed)
     if solver == "asymmetric":
         if edges_token is None:
-            raise _fail(2, "the asymmetric solver requires --edges")
+            raise CliError(2, "the asymmetric solver requires --edges")
         try:
             order = PrecedenceOrder(game.n_players, _parse_edges(edges_token, data))
         except CyclicPrecedenceError as exc:
-            raise _fail(2, str(exc)) from None
+            raise CliError(2, str(exc)) from None
         return asymmetric_shapley(game, order)
     if solver == "equal-split":
         return equal_split_attribution(game, tolerance if tolerance is not None else 1e-9)
-    raise _fail(2, f"unknown solver {solver!r} (choose from {', '.join(_SOLVERS)})")
+    raise CliError(2, f"unknown solver {solver!r} (choose from {', '.join(_SOLVERS)})")
 
 
 def _echo_config(command, **kwargs) -> dict:
@@ -295,14 +299,14 @@ def _common_explain_audit(args):
     """Shared resolution pipeline for explain and audit."""
     data = _load_dataset(_resolve(args, "dataset"))
     n_samples = _resolve_n_samples(args)
-    seed = _resolve(args, "seed", int)
+    seed = _resolve_seed(args)
     tolerance = _resolve(args, "tolerance", float)
     solver = _resolve(args, "solver") or "exact"
     if solver not in _SOLVERS:
-        raise _fail(2, f"unknown solver {solver!r} (choose from {', '.join(_SOLVERS)})")
+        raise CliError(2, f"unknown solver {solver!r} (choose from {', '.join(_SOLVERS)})")
     edges_token = _resolve(args, "edges")
     if edges_token is not None and solver != "asymmetric":
-        raise _fail(2, "--edges is only meaningful with the asymmetric solver")
+        raise CliError(2, "--edges is only meaningful with the asymmetric solver")
     model_token = _resolve(args, "model")
     instance_token = _resolve(args, "instance")
     value_fn_token = _resolve(args, "value_fn")
@@ -410,8 +414,8 @@ def cmd_audit(args) -> int:
 def cmd_scenario(args) -> int:
     name = args.name
     if name != "all" and name not in SCENARIO_NAMES:
-        raise _fail(2, f"unknown scenario {name!r} (choose from {', '.join(SCENARIO_NAMES)} or all)")
-    seed = _resolve(args, "seed", int)
+        raise CliError(2, f"unknown scenario {name!r} (choose from {', '.join(SCENARIO_NAMES)} or all)")
+    seed = _resolve_seed(args)
     n_samples = _resolve_n_samples(args)
     out = Path(_resolve(args, "out") or ".")
     names = SCENARIO_NAMES if name == "all" else (name,)

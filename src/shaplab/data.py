@@ -1,10 +1,11 @@
 """Immutable tabular datasets backing the empirical value functions.
 
 CSV format: first line is a header of feature names, every following line is a
-row of finite decimal reals (``nan`` and ``inf`` are rejected at load). An
-optional JSON sidecar schema maps feature names to a domain kind (``discrete``
-or ``continuous``); columns without an entry default to discrete when every
-value is integral, continuous otherwise.
+row of finite decimal reals, one per name (``nan``, ``inf`` and rows of the
+wrong length are rejected at load). An optional JSON sidecar schema maps
+feature names to a domain kind (``discrete`` or ``continuous``); columns
+without an entry default to discrete when every value is integral, continuous
+otherwise.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ class TabularDataset:
                     raise DatasetError(f"{path}:{lineno}: {exc}") from None
                 if not all(math.isfinite(v) for v in values):
                     raise DatasetError(f"{path}:{lineno}: non-finite value in {line!r}")
+                if len(values) != len(names):
+                    raise DatasetError(
+                        f"{path}:{lineno}: {len(values)} values but {len(names)} columns in the header"
+                    )
                 rows.append(values)
         kinds = None
         if schema_path is None:

@@ -11,9 +11,15 @@ import graphlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+import numpy as np
+
 MAX_PLAYERS = 64  # coalition masks are kept within a 64-bit pattern
 
-#: Hard ceilings for the exact solvers (see solvers module).
+#: Hard ceilings for the exact solvers (see solvers module). Every solver that
+#: reads the whole value table (the order-ideal engine behind plain and
+#: asymmetric Shapley, the equal split and the axiom audit) holds 2**n float64
+#: values, 256 MiB at the subset cap; only the n!-enumeration cross-check keeps
+#: the permutation cap.
 SUBSET_ENUMERATION_CAP = 25
 PERMUTATION_ENUMERATION_CAP = 10
 
@@ -94,7 +100,9 @@ class CoalitionGame:
     The oracle must be deterministic. Values are cached per coalition mask;
     cache insertion uses ``dict.setdefault`` so concurrent readers may race to
     compute a value but only one insertion wins and no torn value is ever
-    observed (duplicate recomputation is acceptable by contract).
+    observed (duplicate recomputation is acceptable by contract). Once the
+    full table exists (a game built by :meth:`from_table`, or after
+    :meth:`table`), values are read from that array.
 
     Solvers work on the centered game ``w(S) = v(S) - v(empty)`` so that the
     classical ``w(empty) = 0`` requirement holds; ``empty_value`` is kept
@@ -107,18 +115,26 @@ class CoalitionGame:
         self.n_players = n_players
         self._oracle = value_oracle
         self._cache: dict[int, float] = {}
-        self._full_table: list[float] | None = None
+        self._table: np.ndarray | None = None
         self.oracle_calls = 0
         self.empty_value = self.value_mask(0)
 
     @classmethod
     def from_table(cls, values) -> "CoalitionGame":
-        """Build a game from a coalition-indexed array (index = bit pattern)."""
-        values = [float(v) for v in values]
-        n = len(values).bit_length() - 1
-        if len(values) != 1 << n or n == 0:
-            raise ValueError(f"table length must be a power of two >= 2, got {len(values)}")
-        return cls(n, lambda c: values[c.mask])
+        """Build a game from a coalition-indexed array (index = bit pattern).
+
+        The values are copied once into a read-only float64 array, which
+        :meth:`table` returns as is; only the empty value goes through the
+        oracle.
+        """
+        table = np.array(values, dtype=float)
+        n = table.size.bit_length() - 1
+        if table.ndim != 1 or n < 1 or table.size != 1 << n:
+            raise ValueError(f"table length must be a power of two >= 2, got {table.size}")
+        table.setflags(write=False)
+        game = cls(n, lambda c: table[c.mask])
+        game._table = table
+        return game
 
     @property
     def full_mask(self) -> int:
@@ -130,6 +146,10 @@ class CoalitionGame:
         return self.value_mask(mask)
 
     def value_mask(self, mask: int) -> float:
+        if self._table is not None:
+            if not 0 <= mask < self._table.size:
+                raise ValueError(f"mask {mask:#x} out of range")
+            return float(self._table[mask])
         cached = self._cache.get(mask)
         if cached is not None:
             return cached
@@ -141,18 +161,18 @@ class CoalitionGame:
         self._cache.setdefault(mask, val)
         return self._cache[mask]
 
-    def centered_value(self, coalition: Coalition | int) -> float:
-        return self.value(coalition) - self.empty_value
-
     @property
     def grand_value(self) -> float:
         return self.value_mask(self.full_mask)
 
-    def table(self) -> list[float]:
-        """All 2**n values, index = coalition bit pattern. Cached."""
-        if self._full_table is None:
-            self._full_table = [self.value_mask(m) for m in range(1 << self.n_players)]
-        return self._full_table
+    def table(self) -> np.ndarray:
+        """All 2**n values as a read-only float64 array, index = coalition bit
+        pattern. A value game fills it once through the oracle."""
+        if self._table is None:
+            table = np.array([self.value_mask(m) for m in range(1 << self.n_players)])
+            table.setflags(write=False)
+            self._table = table
+        return self._table
 
     def marginal(self, player: int, coalition: Coalition | int) -> float:
         """v(S + player) - v(S); rejects player already in S."""
@@ -163,11 +183,6 @@ class CoalitionGame:
         if mask & bit:
             raise ValueError(f"player {player} is already in the coalition")
         return self.value_mask(mask | bit) - self.value_mask(mask)
-
-
-def marginal_contribution(game: CoalitionGame, player: int, coalition: Coalition | int) -> float:
-    """Value added by ``player`` joining ``coalition``. Both lookups are memoized."""
-    return game.marginal(player, coalition)
 
 
 @dataclass(frozen=True)
@@ -229,11 +244,6 @@ class PrecedenceOrder:
             graphlib.TopologicalSorter(graph).prepare()
         except graphlib.CycleError as exc:
             raise CyclicPrecedenceError(f"precedence edges contain a cycle: {exc.args[1]}") from exc
-
-    def admits(self, permutation) -> bool:
-        """True when every ancestor appears before its descendant."""
-        pos = {p: i for i, p in enumerate(permutation)}
-        return all(pos[a] < pos[d] for a, d in self.edges)
 
 
 @dataclass(frozen=True)

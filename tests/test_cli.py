@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
@@ -219,6 +220,37 @@ class TestExitCodes:
         result = run_cli("scenario", "recourse", "--n-samples", "0", "--out", str(out_dir))
         assert result.returncode == 2
 
+    def test_ragged_csv_row_is_load_error(self, out_dir, tmp_path):
+        csv = tmp_path / "ragged.csv"
+        csv.write_text("a,b\n1,2\n3\n")
+        result = run_cli(
+            "explain", "--dataset", str(csv), "--model", "linear:0,1,1",
+            "--instance", "0", "--out", str(out_dir),
+        )
+        assert result.returncode == 3
+        assert f"{csv}:3" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (out_dir / "attribution.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explain", "--dataset", str(INDEPENDENT), "--model", "multiplicative",
+             "--instance", "0", "--solver", "sampled"],
+            ["explain", "--dataset", str(INDEPENDENT), "--model", "multiplicative",
+             "--instance", "0", "--value-fn", "product-of-marginals"],
+            ["audit", "--dataset", str(INDEPENDENT), "--model", "multiplicative", "--instance", "0"],
+            ["scenario", "linear"],
+        ],
+        ids=["explain-sampled", "explain-product-of-marginals", "audit", "scenario"],
+    )
+    def test_negative_seed_is_config_error(self, out_dir, argv):
+        result = run_cli(*argv, "--seed", "-1", "--out", str(out_dir))
+        assert result.returncode == 2
+        assert "--seed" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert list(out_dir.iterdir()) == []
+
 
 class TestScenarioCommand:
     def test_beetle_passes(self, out_dir):
@@ -248,6 +280,24 @@ class TestScenarioCommand:
 
 
 class TestAudit:
+    def test_asymmetric_above_old_enumeration_cap(self, out_dir, tmp_path):
+        d = 12
+        rows = np.round(np.random.default_rng(3).standard_normal((16, d)), 6)
+        csv = tmp_path / "wide.csv"
+        csv.write_text(
+            ",".join(f"f{j}" for j in range(d)) + "\n"
+            + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        )
+        model = "linear:0.5," + ",".join(str(j - 5) for j in range(d))
+        result = run_cli(
+            "audit", "--dataset", str(csv), "--model", model, "--instance", "2",
+            "--solver", "asymmetric", "--edges", "f0->f3,f3->f11,f7->f2", "--out", str(out_dir),
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        payload = json.loads((out_dir / "audit.json").read_text())
+        assert payload["pass"] is True and payload["method"] == "asymmetric"
+
     def test_exact_solver_passes(self, out_dir):
         result = run_cli(
             "audit", "--dataset", str(INDEPENDENT), "--model", "linear:0,1,1,0",

@@ -10,7 +10,6 @@ from shaplab import (
     CoalitionGame,
     CyclicPrecedenceError,
     PrecedenceOrder,
-    marginal_contribution,
 )
 
 
@@ -55,7 +54,6 @@ class TestCoalitionGame:
         assert g.empty_value == 0.0
         assert g.grand_value == 1.0
         assert g.value(Coalition.of([0, 1], 3)) == 1.0
-        assert g.centered_value(Coalition.of([0, 1], 3)) == 1.0
 
     def test_from_table_rejects_bad_length(self):
         with pytest.raises(ValueError):
@@ -76,7 +74,32 @@ class TestCoalitionGame:
                 g.value_mask(mask)
         assert g.oracle_calls == 16
         assert len(calls) == 16
-        assert g.table() == [float(m.bit_count()) for m in range(16)]
+        assert g.table().tolist() == [float(m.bit_count()) for m in range(16)]
+
+    def test_table_game_reads_its_array(self):
+        values = np.arange(16, dtype=float) / 3.0
+        g = CoalitionGame.from_table(values)
+        assert g.oracle_calls == 1  # the empty value only
+        table = g.table()
+        assert table is g.table()
+        assert table.dtype == np.float64 and not table.flags.writeable
+        assert table.tolist() == values.tolist()
+        assert [g.value_mask(m) for m in range(16)] == values.tolist()
+        assert type(g.value_mask(5)) is float
+        assert g.oracle_calls == 1
+        values[3] = -1.0  # the game keeps its own copy
+        assert g.value_mask(3) == 1.0
+        with pytest.raises(ValueError):
+            g.value_mask(16)
+        with pytest.raises(ValueError):
+            g.value_mask(-1)
+
+    def test_value_game_fills_table_once(self):
+        g = CoalitionGame(3, lambda c: float(c.mask))
+        assert g.table().tolist() == [float(m) for m in range(8)]
+        g.table()
+        assert g.oracle_calls == 8
+        assert not g.table().flags.writeable
 
     def test_deterministic_oracle_required_shape(self):
         g = CoalitionGame(2, lambda c: 1.5 * c.size)
@@ -97,11 +120,11 @@ class TestCoalitionGame:
 class TestMarginalContribution:
     def test_additive_game(self):
         g = CoalitionGame(3, lambda c: float(c.size))
-        assert marginal_contribution(g, 0, Coalition.of([1], 3)) == 1.0
+        assert g.marginal(0, Coalition.of([1], 3)) == 1.0
 
     def test_beetle_lookup(self):
         g = beetle_game()
-        assert marginal_contribution(g, 0, Coalition.of([1], 3)) == 1.0
+        assert g.marginal(0, Coalition.of([1], 3)) == 1.0
 
     def test_dummy_everywhere_zero(self):
         # player 2 never matters
@@ -114,18 +137,12 @@ class TestMarginalContribution:
     def test_rejects_member_and_out_of_range(self):
         g = beetle_game()
         with pytest.raises(ValueError):
-            marginal_contribution(g, 1, Coalition.of([1], 3))
+            g.marginal(1, Coalition.of([1], 3))
         with pytest.raises(ValueError):
-            marginal_contribution(g, 5, Coalition.empty(3))
+            g.marginal(5, Coalition.empty(3))
 
 
 class TestPrecedenceOrder:
-    def test_admits(self):
-        order = PrecedenceOrder(3, [(1, 2)])
-        assert order.admits((0, 1, 2))
-        assert order.admits((1, 2, 0))
-        assert not order.admits((2, 1, 0))
-
     def test_rejects_cycle(self):
         with pytest.raises(CyclicPrecedenceError):
             PrecedenceOrder(3, [(0, 1), (1, 2), (2, 0)])
@@ -135,9 +152,3 @@ class TestPrecedenceOrder:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             PrecedenceOrder(2, [(0, 5)])
-
-    def test_empty_order_admits_everything(self):
-        order = PrecedenceOrder(4)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            assert order.admits(tuple(rng.permutation(4)))

@@ -1,8 +1,10 @@
 """Solver correctness: frozen hand-enumerated values, an independent
 brute-force reference, and seeded property sweeps."""
 
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +36,59 @@ def shapley_reference(table, n):
             phi[player] += table[after] - table[before]
             seen = seen | {player}
     return [v / math.factorial(n) for v in phi]
+
+
+def order_ideal_reference(table, n, edges):
+    """Independent precedence-constrained values: exact ordering counts by
+    recursion over explicit player sets, weights as fractions."""
+    preds = {i: frozenset(a for a, d in edges if d == i) for i in range(n)}
+    everyone = frozenset(range(n))
+
+    def is_downset(s):
+        return all(preds[j] <= s for j in s)
+
+    @functools.cache
+    def build(s):  # admissible orderings of s, zero unless s is a downset
+        if not s:
+            return 1
+        return sum(build(s - {i}) for i in s if preds[i] <= s - {i})
+
+    @functools.cache
+    def finish(t):  # admissible orderings of everyone else after t
+        if not is_downset(t):
+            return 0
+        if t == everyone:
+            return 1
+        return sum(finish(t | {i}) for i in everyone - t if preds[i] <= t)
+
+    def mask(s):
+        return sum(1 << p for p in s)
+
+    e = build(everyone)
+    phi = [0.0] * n
+    for size in range(n):
+        for members in itertools.combinations(range(n), size):
+            s = frozenset(members)
+            for i in everyone - s:
+                weight = Fraction(build(s) * finish(s | {i}), e)
+                if weight:
+                    phi[i] += float(weight) * (table[mask(s | {i})] - table[mask(s)])
+    return phi, e
+
+
+def admissible_average(table, n, edges):
+    """Average marginal contributions over the admissible permutations."""
+    phi = [0.0] * n
+    count = 0
+    for perm in itertools.permutations(range(n)):
+        pos = {p: k for k, p in enumerate(perm)}
+        if any(pos[a] > pos[d] for a, d in edges):
+            continue
+        count += 1
+        for k, player in enumerate(perm):
+            before = sum(1 << p for p in perm[:k])
+            phi[player] += table[before | 1 << player] - table[before]
+    return [v / count for v in phi], count
 
 
 def beetle_game():
@@ -164,8 +219,12 @@ class TestAsymmetric:
         for n in (2, 3, 5):
             g = random_game(rng, n)
             asym = asymmetric_shapley(g, PrecedenceOrder(n))
+            subs = exact_shapley_subsets(CoalitionGame.from_table(g.table()))
             perm = exact_shapley_permutations(CoalitionGame.from_table(g.table()))
-            assert asym.values == perm.values  # identical enumeration path
+            assert asym.values == subs.values  # one engine, same summation order
+            assert max(abs(a - p) for a, p in zip(asym.values, perm.values)) <= 1e-12
+            assert asym.diagnostics["admissible_permutations"] == math.factorial(n)
+            assert asym.diagnostics["downsets"] == 1 << n
 
     def test_redundancy_game_hand_average(self):
         table = [0.0] * 8
@@ -193,6 +252,63 @@ class TestAsymmetric:
         g = random_game(rng, 5)
         attr = asymmetric_shapley(g, PrecedenceOrder(5, [(0, 3), (1, 2)]))
         assert attr.base_value + sum(attr.values) == pytest.approx(g.grand_value, abs=1e-9)
+
+    def test_matches_admissible_permutation_average(self):
+        rng = np.random.default_rng(37)
+        cases = [
+            (4, [(0, 1)]),
+            (5, [(0, 3), (1, 2)]),
+            (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),  # a chain: one ordering
+            (6, [(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)]),  # every player constrained
+            (7, [(2, 0), (2, 6), (4, 6), (1, 3)]),
+        ]
+        for n, edges in cases:
+            table = rng.standard_normal(1 << n)
+            attr = asymmetric_shapley(CoalitionGame.from_table(table), PrecedenceOrder(n, edges))
+            ref, count = admissible_average(table, n, edges)
+            assert attr.values == pytest.approx(ref, abs=1e-12)
+            assert attr.diagnostics["admissible_permutations"] == count
+
+    def test_twelve_players_against_order_ideal_reference(self):
+        # above the old n! enumeration cap of 10 players
+        n = 12
+        edges = [(0, 5), (5, 7), (3, 7), (3, 11), (9, 2), (10, 4)]
+        table = np.random.default_rng(41).standard_normal(1 << n)
+        attr = asymmetric_shapley(CoalitionGame.from_table(table), PrecedenceOrder(n, edges))
+        ref, e = order_ideal_reference(table, n, edges)
+        assert attr.values == pytest.approx(ref, abs=1e-12)
+        assert attr.diagnostics["admissible_permutations"] == e
+        downsets = sum(
+            all(m >> d & 1 <= m >> a & 1 for a, d in edges) for m in range(1 << n)
+        )
+        assert attr.diagnostics["downsets"] == downsets
+        assert attr.base_value + sum(attr.values) == pytest.approx(table[-1], abs=1e-9)
+
+    def test_admissible_count_is_exact_past_float_precision(self):
+        n = 19
+        g = CoalitionGame.from_table(np.random.default_rng(43).random(1 << n))
+        attr = asymmetric_shapley(g, PrecedenceOrder(n, [(4, 17)]))
+        count = attr.diagnostics["admissible_permutations"]
+        assert type(count) is int
+        assert count == math.factorial(19) // 2
+        assert count > 2**53
+        assert attr.diagnostics["downsets"] == 3 << (n - 2)
+        assert attr.base_value + sum(attr.values) == pytest.approx(g.grand_value, abs=1e-9)
+
+    def test_rejects_above_cap(self):
+        g = CoalitionGame(26, lambda c: 0.0)
+        with pytest.raises(EnumerationCapError):
+            asymmetric_shapley(g, PrecedenceOrder(26, [(0, 1)]))
+
+    def test_diagnostics_are_plain_python(self):
+        attr = asymmetric_shapley(beetle_game(), PrecedenceOrder(3, [(1, 2)]))
+        assert attr.diagnostics == {
+            "admissible_permutations": 3,
+            "downsets": 6,
+            "precedence_edges": [(1, 2)],
+        }
+        assert all(type(v) is float for v in attr.values)
+        assert type(attr.diagnostics["downsets"]) is int
 
 
 class TestEqualSplit:
@@ -286,9 +402,69 @@ class TestAuditAxioms:
         report = audit_axioms(g, bad)
         assert report.dummy_violations == ((1, 0.1),)
 
+    def test_vectorised_scans_match_scalar_audit(self):
+        rng = np.random.default_rng(29)
+        for k in range(40):
+            n = 2 + k % 6
+            table = rng.random(1 << n)
+            sym, dummy = 0b11, 1 << (n - 1)
+            for mask in range(1 << n):
+                if k % 2 == 0 and mask & sym == 0b01:
+                    table[mask] = table[mask ^ sym]
+                if k % 4 == 1 and mask & dummy:
+                    # a near-dummy: marginals straddle the profile tolerance
+                    table[mask] = table[mask ^ dummy] + (k % 3 - 1) * 1e-12
+            game = CoalitionGame.from_table(table)
+            attr = Attribution(0.0, tuple(rng.random(n)), "exact-subset")
+            report = audit_axioms(game, attr, tolerance=0.5)
+            symmetric, dummies = scalar_scans(table.tolist(), n, 1e-12)
+            assert [(i, j) for i, j, _ in report.symmetry_violations] == [
+                (i, j) for i, j in symmetric if abs(attr.values[i] - attr.values[j]) > 0.5
+            ]
+            assert report.max_symmetry_gap == max(
+                [abs(attr.values[i] - attr.values[j]) for i, j in symmetric], default=0.0
+            )
+            assert report.max_dummy_gap == max(
+                [abs(attr.values[i]) for i in dummies], default=0.0
+            )
+            assert [i for i, _ in report.dummy_violations] == [
+                i for i in dummies if abs(attr.values[i]) > 0.5
+            ]
+            assert equal_split_attribution(game).diagnostics["dummies"] == scalar_scans(
+                table.tolist(), n, 1e-9
+            )[1]
+
+    def test_report_fields_are_plain_python(self):
+        rng = np.random.default_rng(31)
+        v, w = random_game(rng, 4), random_game(rng, 4)
+        report = audit_axioms(v, exact_shapley_subsets(v), other=(w, exact_shapley_subsets(w)))
+        for value in report.to_dict().values():
+            assert type(value) in (float, list)
+        assert type(report.passes()) is bool
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             audit_axioms(beetle_game(), Attribution(0.0, (1.0,), "exact-subset"))
+
+
+def scalar_scans(table, n, tolerance):
+    """The exhaustive symmetric-pair and dummy scans as plain loops."""
+    symmetric = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            bi, bj = 1 << i, 1 << j
+            if all(
+                abs((table[m | bi] - table[m]) - (table[m | bj] - table[m])) <= tolerance
+                for m in range(1 << n)
+                if not m & (bi | bj)
+            ):
+                symmetric.append((i, j))
+    dummies = [
+        i
+        for i in range(n)
+        if all(abs(table[m | 1 << i] - table[m]) <= tolerance for m in range(1 << n) if not m >> i & 1)
+    ]
+    return symmetric, dummies
 
 
 class TestProperties:

@@ -142,11 +142,11 @@ class TestInterventionalGame:
     def test_deterministic_given_spec(self, uniform2):
         model = LinearModel(0.0, [1.0, -2.0])
         spec = ValueFunctionSpec(kind=PRODUCT_OF_MARGINALS, n_samples=25, seed=9)
-        t1 = build_interventional_game(model, uniform2, [1, 0], spec).table()
-        t2 = build_interventional_game(model, uniform2, [1, 0], spec).table()
+        t1 = build_interventional_game(model, uniform2, [1, 0], spec).table().tolist()
+        t2 = build_interventional_game(model, uniform2, [1, 0], spec).table().tolist()
         assert t1 == t2
         other = ValueFunctionSpec(kind=PRODUCT_OF_MARGINALS, n_samples=25, seed=10)
-        assert build_interventional_game(model, uniform2, [1, 0], other).table() != t1
+        assert build_interventional_game(model, uniform2, [1, 0], other).table().tolist() != t1
 
     def test_oracle_consumes_generated_hybrids(self, uniform2):
         model = LinearModel(0.5, [1.0, 2.0])
