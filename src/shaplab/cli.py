@@ -3,12 +3,16 @@
 Exit codes are a stable contract:
   0 success
   2 malformed configuration (bad flags, unknown scenario, missing or
-    negative seed, cycles)
+    negative seed, --n-samples below 1 or, for scenarios, below 2, a
+    --tolerance that is not finite or is negative, the sampled solver without
+    --seed, the asymmetric solver without --edges or with cyclic or unknown
+    edges); explain and audit check all of it before building a game, so a
+    configuration fault wins over a computation fault
   3 dataset or model load failure
   4 computation failure (empty conditioning set, continuous features,
     enumeration caps, non-finite model output); the offending coalition is
     named on standard error
-  5 a scenario claim failed
+  5 a scenario claim or an axiom audit failed
 
 Configuration is a flat key=value text file (same keys as the long flags,
 underscores allowed) with command-line flags taking precedence; the resolved
@@ -24,13 +28,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .data import DatasetError, TabularDataset
-from .games import CoalitionGame, CyclicPrecedenceError, EnumerationCapError, PrecedenceOrder
-from .models import LinearModel, MultiplicativeModel, QuadraticRecourseModel
+from .games import Attribution, CoalitionGame, CyclicPrecedenceError, EnumerationCapError, PrecedenceOrder
+from .models import LinearModel, MultiplicativeModel, PredictiveModel, QuadraticRecourseModel
 from .reporting import dump_json, atomic_write_text
 from .scenarios import SCENARIO_NAMES, run_scenario, write_report
 from .solvers import (
@@ -117,18 +124,12 @@ def _resolve(args, key, cast=str):
         raise CliError(2, f"config key {key}: {exc}") from None
 
 
-def _resolve_n_samples(args):
-    n_samples = _resolve(args, "n_samples", int)
-    if n_samples is not None and n_samples < 1:
-        raise CliError(2, f"--n-samples must be at least 1, got {n_samples}")
-    return n_samples
-
-
-def _resolve_seed(args):
-    seed = _resolve(args, "seed", int)
-    if seed is not None and seed < 0:
-        raise CliError(2, f"--seed must be non-negative, got {seed}")
-    return seed
+def _resolve_checked(args, key, cast, valid, rule):
+    """``_resolve`` plus a range check; out-of-range values are config errors."""
+    value = _resolve(args, key, cast)
+    if value is not None and not valid(value):
+        raise CliError(2, f"--{key.replace('_', '-')} must be {rule}, got {value}")
+    return value
 
 
 def _load_dataset(path) -> TabularDataset:
@@ -261,97 +262,112 @@ def _player_index(token: str, data: TabularDataset) -> int:
     return index
 
 
-def _build_game(model, data, instance, spec) -> CoalitionGame:
-    if spec.kind == CONDITIONAL:
-        return build_conditional_game(model, data, instance)
-    return build_interventional_game(model, data, instance, spec)
+def _bind_solver(solver, data, edges_token, n_samples, seed, tolerance):
+    """The configured solver as one ``game -> Attribution`` callable.
 
-
-def _solve(game, solver, data, edges_token, n_samples, seed, tolerance):
-    if solver == "exact":
-        return exact_shapley_subsets(game)
+    Solver functions are looked up when the run is resolved, so a rebound
+    module attribute (such as a profiling wrapper) sees every call.
+    """
     if solver == "sampled":
         if seed is None:
             raise CliError(2, "the sampled solver requires --seed")
-        return sampled_shapley(game, _DEFAULT_SAMPLES if n_samples is None else n_samples, seed)
+        return partial(sampled_shapley, n_samples=_DEFAULT_SAMPLES if n_samples is None else n_samples, seed=seed)
     if solver == "asymmetric":
         if edges_token is None:
             raise CliError(2, "the asymmetric solver requires --edges")
         try:
-            order = PrecedenceOrder(game.n_players, _parse_edges(edges_token, data))
+            order = PrecedenceOrder(data.n_features, _parse_edges(edges_token, data))
         except CyclicPrecedenceError as exc:
             raise CliError(2, str(exc)) from None
-        return asymmetric_shapley(game, order)
+        return partial(asymmetric_shapley, order=order)
     if solver == "equal-split":
-        return equal_split_attribution(game, tolerance if tolerance is not None else 1e-9)
-    raise CliError(2, f"unknown solver {solver!r} (choose from {', '.join(_SOLVERS)})")
+        return partial(equal_split_attribution, dummy_tolerance=1e-9 if tolerance is None else tolerance)
+    return exact_shapley_subsets
 
 
-def _echo_config(command, **kwargs) -> dict:
-    echo = {"command": command}
-    for key, value in kwargs.items():
-        if value is not None:
-            echo[key] = value
-    return echo
+@dataclass(frozen=True)
+class RunConfig:
+    """An explain/audit run resolved from flags and config file, checked
+    before any game is built."""
 
+    data: TabularDataset
+    model: PredictiveModel
+    instance: np.ndarray
+    spec: ValueFunctionSpec
+    solver: str
+    solve: Callable[[CoalitionGame], Attribution]
+    tolerance: float  # the audit's; the equal-split dummy tolerance is bound into solve
+    out: Path
+    probe_seed: int
+    echo: dict
 
-def _common_explain_audit(args):
-    """Shared resolution pipeline for explain and audit."""
-    data = _load_dataset(_resolve(args, "dataset"))
-    n_samples = _resolve_n_samples(args)
-    seed = _resolve_seed(args)
-    tolerance = _resolve(args, "tolerance", float)
-    solver = _resolve(args, "solver") or "exact"
-    if solver not in _SOLVERS:
-        raise CliError(2, f"unknown solver {solver!r} (choose from {', '.join(_SOLVERS)})")
-    edges_token = _resolve(args, "edges")
-    if edges_token is not None and solver != "asymmetric":
-        raise CliError(2, "--edges is only meaningful with the asymmetric solver")
-    model_token = _resolve(args, "model")
-    instance_token = _resolve(args, "instance")
-    value_fn_token = _resolve(args, "value_fn")
-    model = _resolve_model(model_token, data.n_features)
-    instance = _resolve_instance(instance_token, data)
-    spec = _resolve_value_fn(value_fn_token, data, n_samples, seed)
-    echo = _echo_config(
-        args.command,
-        dataset=_resolve(args, "dataset"),
-        model=model_token,
-        instance=instance_token,
-        value_fn=value_fn_token or "marginal-joint",
-        solver=solver,
-        edges=edges_token,
-        n_samples=n_samples,
-        seed=seed,
-        tolerance=tolerance,
-    )
-    return data, model, instance, spec, solver, edges_token, n_samples, seed, tolerance, echo
+    @classmethod
+    def resolve(cls, args) -> RunConfig:
+        dataset_token = _resolve(args, "dataset")
+        data = _load_dataset(dataset_token)
+        n_samples = _resolve_checked(args, "n_samples", int, lambda v: v >= 1, "at least 1")
+        seed = _resolve_checked(args, "seed", int, lambda v: v >= 0, "non-negative")
+        tolerance = _resolve_checked(args, "tolerance", float, lambda v: 0 <= v < math.inf, "finite and non-negative")
+        solver = _resolve(args, "solver") or "exact"
+        if solver not in _SOLVERS:
+            raise CliError(2, f"unknown solver {solver!r} (choose from {', '.join(_SOLVERS)})")
+        edges_token = _resolve(args, "edges")
+        if edges_token is not None and solver != "asymmetric":
+            raise CliError(2, "--edges is only meaningful with the asymmetric solver")
+        model_token = _resolve(args, "model")
+        instance_token = _resolve(args, "instance")
+        value_fn_token = _resolve(args, "value_fn")
+        model = _resolve_model(model_token, data.n_features)
+        instance = _resolve_instance(instance_token, data)
+        spec = _resolve_value_fn(value_fn_token, data, n_samples, seed)
+        solve = _bind_solver(solver, data, edges_token, n_samples, seed, tolerance)
+        echo = dict(
+            command=args.command, dataset=dataset_token, model=model_token, instance=instance_token,
+            value_fn=value_fn_token or "marginal-joint", solver=solver, edges=edges_token,
+            n_samples=n_samples, seed=seed, tolerance=tolerance,
+        )
+        return cls(
+            data=data,
+            model=model,
+            instance=instance,
+            spec=spec,
+            solver=solver,
+            solve=solve,
+            tolerance=1e-6 if tolerance is None else tolerance,  # empirical-game default
+            out=Path(_resolve(args, "out") or "."),
+            probe_seed=0 if seed is None else seed,
+            echo={key: value for key, value in echo.items() if value is not None},
+        )
+
+    def build_game(self) -> CoalitionGame:
+        if self.spec.kind == CONDITIONAL:
+            return build_conditional_game(self.model, self.data, self.instance)
+        return build_interventional_game(self.model, self.data, self.instance, self.spec)
 
 
 def cmd_explain(args) -> int:
-    data, model, instance, spec, solver, edges_token, n_samples, seed, tolerance, echo = _common_explain_audit(args)
-    attribution = _solve(_build_game(model, data, instance, spec), solver, data, edges_token, n_samples, seed, tolerance)
-    fx = float(model.score(instance))
+    cfg = RunConfig.resolve(args)
+    attribution = cfg.solve(cfg.build_game())
+    fx = float(cfg.model.score(cfg.instance))
     payload = {
         "base_value": attribution.base_value,
         "values": [
             {"feature": name, "phi": value}
-            for name, value in zip(data.feature_names, attribution.values)
+            for name, value in zip(cfg.data.feature_names, attribution.values)
         ],
         "contrast": {"fx": fx, "base": attribution.base_value},
         "method": attribution.method,
         "diagnostics": attribution.diagnostics,
-        "config": echo,
+        "config": cfg.echo,
     }
-    out = Path(_resolve(args, "out") or ".")
-    atomic_write_text(out / "attribution.json", dump_json(payload))
-    print(f"wrote {out / 'attribution.json'}")
+    atomic_write_text(cfg.out / "attribution.json", dump_json(payload))
+    print(f"wrote {cfg.out / 'attribution.json'}")
     return 0
 
 
-def _additivity_probe(solver, game, data, edges_token, n_samples, seed, tolerance, tol) -> float:
-    """Worst additivity gap of the configured method over a brute-force search
-    of seeded random game pairs.
+def _additivity_probe(solve, n, probe_seed, tol) -> float:
+    """Worst additivity gap of ``solve`` over a brute-force search of seeded
+    random n-player game pairs.
 
     The CLI grammar admits a single game, so additivity is probed on synthetic
     table games instead. Pairs use 0/1 payoffs and plant an ignored player in
@@ -359,9 +375,7 @@ def _additivity_probe(solver, game, data, edges_token, n_samples, seed, toleranc
     dummy pattern of the sum differs from the parts, which smooth random tables
     never expose.
     """
-    probe_seed = seed if seed is not None else 0
     rng = np.random.default_rng(probe_seed)
-    n = game.n_players if solver == "asymmetric" else min(game.n_players, 3)
     worst = 0.0
     for k in range(40):
         tv = rng.integers(0, 2, size=1 << n).astype(float)
@@ -373,9 +387,9 @@ def _additivity_probe(solver, game, data, edges_token, n_samples, seed, toleranc
         try:
             probe_v = CoalitionGame.from_table(tv)
             probe_w = CoalitionGame.from_table(tw)
-            attr_v = _solve(probe_v, solver, data, edges_token, n_samples, seed, tolerance)
-            attr_w = _solve(probe_w, solver, data, edges_token, n_samples, seed, tolerance)
-            report = audit_axioms(probe_v, attr_v, other=(probe_w, attr_w), tolerance=tol)
+            report = audit_axioms(
+                probe_v, solve(probe_v), other=(probe_w, solve(probe_w)), tolerance=tol, solve=solve
+            )
         except AllDummyInconsistencyError:
             continue
         worst = max(worst, report.additivity_gap)
@@ -383,31 +397,29 @@ def _additivity_probe(solver, game, data, edges_token, n_samples, seed, toleranc
 
 
 def cmd_audit(args) -> int:
-    data, model, instance, spec, solver, edges_token, n_samples, seed, tolerance, echo = _common_explain_audit(args)
-    tol = tolerance if tolerance is not None else 1e-6  # empirical-game default
-    game = _build_game(model, data, instance, spec)
-    attribution = _solve(game, solver, data, edges_token, n_samples, seed, tolerance)
+    cfg = RunConfig.resolve(args)
+    game = cfg.build_game()
+    attribution = cfg.solve(game)
+    # precedence edges name the game's players, so the asymmetric probe keeps them all
+    n = game.n_players if cfg.solver == "asymmetric" else min(game.n_players, 3)
+    additivity_gap = _additivity_probe(cfg.solve, n, cfg.probe_seed, cfg.tolerance)
 
-    probe_seed = seed if seed is not None else 0
-    additivity_gap = _additivity_probe(solver, game, data, edges_token, n_samples, seed, tolerance, tol)
-
-    report = audit_axioms(game, attribution, tolerance=tol)
+    report = audit_axioms(game, attribution, tolerance=cfg.tolerance)
     efficiency_exempt = attribution.method == "sampled"
-    passed = report.passes(efficiency_exempt=efficiency_exempt) and additivity_gap <= tol
+    passed = report.passes(efficiency_exempt=efficiency_exempt) and additivity_gap <= cfg.tolerance
     payload = report.to_dict()
     payload.update(
         {
             "method": attribution.method,
             "additivity_gap": additivity_gap,
-            "additivity_probe_seed": probe_seed,
-            "efficiency_flagged": efficiency_exempt and report.efficiency_gap > tol,
+            "additivity_probe_seed": cfg.probe_seed,
+            "efficiency_flagged": efficiency_exempt and report.efficiency_gap > cfg.tolerance,
             "pass": passed,
-            "config": echo,
+            "config": cfg.echo,
         }
     )
-    out = Path(_resolve(args, "out") or ".")
-    atomic_write_text(out / "audit.json", dump_json(payload))
-    print(f"wrote {out / 'audit.json'}")
+    atomic_write_text(cfg.out / "audit.json", dump_json(payload))
+    print(f"wrote {cfg.out / 'audit.json'}")
     return 0 if passed else 5
 
 
@@ -415,13 +427,15 @@ def cmd_scenario(args) -> int:
     name = args.name
     if name != "all" and name not in SCENARIO_NAMES:
         raise CliError(2, f"unknown scenario {name!r} (choose from {', '.join(SCENARIO_NAMES)} or all)")
-    seed = _resolve_seed(args)
-    n_samples = _resolve_n_samples(args)
+    seed = _resolve_checked(args, "seed", int, lambda v: v >= 0, "non-negative")
+    # scenarios report sample variances, which need two draws
+    n_samples = _resolve_checked(args, "n_samples", int, lambda v: v >= 2, "at least 2 for scenarios")
     out = Path(_resolve(args, "out") or ".")
     names = SCENARIO_NAMES if name == "all" else (name,)
     all_passed = True
     for scenario_name in names:
-        echo = _echo_config("scenario", scenario=scenario_name, seed=seed, n_samples=n_samples)
+        echo = {"command": "scenario", "scenario": scenario_name}
+        echo.update((key, value) for key, value in (("seed", seed), ("n_samples", n_samples)) if value is not None)
         report = run_scenario(scenario_name, seed=seed, n_samples=n_samples)
         write_report(report, out, extra={"config": echo})
         status = "pass" if report.passed else "FAIL"

@@ -28,10 +28,6 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def write_json(path, payload) -> None:
-    atomic_write_text(path, dump_json(payload))
-
-
 def format_csv(header, rows) -> str:
     """Plot-ready CSV with repr-exact floats (deterministic bytes)."""
     lines = [",".join(header)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import factorial
+from typing import Callable
 
 import numpy as np
 
@@ -319,31 +320,14 @@ def equal_split_attribution(game: CoalitionGame, dummy_tolerance: float = 1e-9) 
     )
 
 
-def _recompute_with_method(attribution: Attribution, game: CoalitionGame) -> Attribution:
-    """Re-run the attribution's own method on another game (for additivity)."""
-    method = attribution.method
-    if method == "exact-permutation":
-        return exact_shapley_permutations(game)
-    if method == "equal-split":
-        tol = attribution.diagnostics.get("dummy_tolerance", 1e-9)
-        return equal_split_attribution(game, tol)
-    if method == "sampled":
-        d = attribution.diagnostics
-        if "n_samples" in d and "seed" in d:
-            return sampled_shapley(game, d["n_samples"], d["seed"])
-    if method == "asymmetric":
-        edges = attribution.diagnostics.get("precedence_edges")
-        if edges is not None:
-            return asymmetric_shapley(game, PrecedenceOrder(game.n_players, [tuple(e) for e in edges]))
-    return exact_shapley_subsets(game)
-
-
 def audit_axioms(
     game: CoalitionGame,
     attribution: Attribution,
     other: tuple[CoalitionGame, Attribution] | None = None,
     tolerance: float = 1e-9,
     profile_tolerance: float = 1e-12,
+    *,
+    solve: Callable[[CoalitionGame], Attribution] | None = None,
 ) -> AxiomReport:
     """Audit an attribution against the efficiency, symmetry, dummy and
     (optionally) additivity axioms.
@@ -353,8 +337,9 @@ def audit_axioms(
     agree on every subset excluding both (to ``profile_tolerance``), and only
     such pairs can violate symmetry. When ``other`` supplies a second
     (game, attribution), the sum game is the pointwise sum of the two value
-    tables, re-solved with the attributions' own method to measure the
-    additivity gap.
+    tables, re-solved with ``solve`` (default :func:`exact_shapley_subsets`)
+    to measure the additivity gap; pass the solver that produced both
+    attributions.
     """
     n = game.n_players
     if attribution.n_players != n:
@@ -387,11 +372,7 @@ def audit_axioms(
         other_game, other_attr = other
         if other_game.n_players != n or other_attr.n_players != n:
             raise ValueError("additivity pair does not match the game's player count")
-        sum_game = CoalitionGame.from_table(table + other_game.table())
-        if attribution.method == other_attr.method:
-            sum_attr = _recompute_with_method(attribution, sum_game)
-        else:
-            sum_attr = exact_shapley_subsets(sum_game)
+        sum_attr = (solve or exact_shapley_subsets)(CoalitionGame.from_table(table + other_game.table()))
         additivity_gap = max(
             abs(phi[i] + other_attr.values[i] - sum_attr.values[i]) for i in range(n)
         )

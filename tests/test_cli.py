@@ -217,8 +217,50 @@ class TestExitCodes:
         assert "--n-samples" in result.stderr
 
     def test_scenario_n_samples_below_one_is_config_error(self, out_dir):
-        result = run_cli("scenario", "recourse", "--n-samples", "0", "--out", str(out_dir))
-        assert result.returncode == 2
+        # scenarios compute sample variances, so one draw is rejected as well
+        for name, n_samples in [("recourse", "0"), ("ood-figure", "1"), ("recourse", "1"), ("all", "1")]:
+            result = run_cli("scenario", name, "--n-samples", n_samples, "--out", str(out_dir))
+            assert result.returncode == 2, (name, n_samples, result.stderr)
+            assert "--n-samples" in result.stderr
+            assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["explain", "audit"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tolerance_not_finite_or_negative_is_config_error(self, tmp_path, command, value, source):
+        out_dir = tmp_path / "out"
+        if source == "flag":
+            given = [f"--tolerance={value}"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"tolerance = {value}\n")
+            given = ["--config", str(config)]
+        result = run_cli(
+            command, "--dataset", str(INDEPENDENT), "--model", "multiplicative", "--instance", "7",
+            "--solver", "equal-split", *given, "--out", str(out_dir),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "--tolerance" in result.stderr and "Traceback" not in result.stderr
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            ["--solver", "sampled"],
+            ["--solver", "asymmetric", "--edges", "x->y,y->x"],
+            ["--solver", "asymmetric", "--edges", "x->z"],
+        ],
+        ids=["sampled-without-seed", "cyclic-edges", "unknown-edge-feature"],
+    )
+    def test_config_error_wins_over_computation_error(self, out_dir, tmp_path, solver):
+        # the conditional game on a continuous CSV would fail with exit 4
+        csv = tmp_path / "cont.csv"
+        csv.write_text("x,y\n0.5,1\n1.5,2\n")
+        result = run_cli(
+            "explain", "--dataset", str(csv), "--model", "linear:0,1,1", "--instance", "0",
+            "--value-fn", "conditional", *solver, "--out", str(out_dir),
+        )
+        assert result.returncode == 2, result.stderr
 
     def test_ragged_csv_row_is_load_error(self, out_dir, tmp_path):
         csv = tmp_path / "ragged.csv"

@@ -368,7 +368,8 @@ class TestAuditAxioms:
         v = beetle_game()
         w = CoalitionGame.from_table([1.0 if m & 1 else 0.0 for m in range(8)])
         report = audit_axioms(
-            v, equal_split_attribution(v), other=(w, equal_split_attribution(w))
+            v, equal_split_attribution(v), other=(w, equal_split_attribution(w)),
+            solve=equal_split_attribution,
         )
         assert report.additivity_gap == pytest.approx(2 / 3, abs=1e-12)
         assert not report.passes()
@@ -379,6 +380,23 @@ class TestAuditAxioms:
         report = audit_axioms(v, exact_shapley_subsets(v), other=(w, exact_shapley_subsets(w)))
         assert report.additivity_gap <= 1e-9
         assert report.passes()
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            functools.partial(sampled_shapley, n_samples=300, seed=5),
+            functools.partial(asymmetric_shapley, order=PrecedenceOrder(5, [(0, 2), (2, 4), (1, 4)])),
+        ],
+        ids=["sampled", "asymmetric"],
+    )
+    def test_additivity_re_solves_with_given_solver(self, solve):
+        # both are linear in the game: a fixed permutation sample, fixed weights
+        rng = np.random.default_rng(37)
+        v, w = random_game(rng, 5), random_game(rng, 5)
+        report = audit_axioms(v, solve(v), other=(w, solve(w)), solve=solve)
+        assert report.additivity_gap <= 1e-12
+        # the default re-solve is plain Shapley, which measures a different method
+        assert audit_axioms(v, solve(v), other=(w, solve(w))).additivity_gap > 1e-3
 
     def test_zero_attribution_efficiency_gap(self):
         g = beetle_game()
