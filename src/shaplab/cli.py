@@ -4,11 +4,14 @@ Exit codes are a stable contract:
   0 success
   2 malformed configuration (bad flags, unknown scenario, missing or
     negative seed, --n-samples below 1 or, for scenarios, below 2, a
-    --tolerance that is not finite or is negative, the sampled solver without
+    --tolerance that is not finite or is negative, a linear --model with a
+    non-finite coefficient, an --out that names an existing file, a config
+    file that cannot be read or is not UTF-8, the sampled solver without
     --seed, the asymmetric solver without --edges or with cyclic or unknown
-    edges); explain and audit check all of it before building a game, so a
+    edges); every command checks all of it before building a game, so a
     configuration fault wins over a computation fault
-  3 dataset or model load failure
+  3 dataset or model load failure (including a CSV, schema or tree file that
+    is not UTF-8), naming the file
   4 computation failure (empty conditioning set, continuous features,
     enumeration caps, non-finite model output); the offending coalition is
     named on standard error
@@ -93,9 +96,9 @@ class CliError(Exception):
 def _load_config_file(path) -> dict:
     values = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(2, f"cannot read config file: {exc}") from None
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(2, f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -132,6 +135,18 @@ def _resolve_checked(args, key, cast, valid, rule):
     return value
 
 
+def _resolve_out(args) -> Path:
+    """The output directory, which may not exist yet; a file in its place, or
+    in place of the nearest existing ancestor, is a configuration fault."""
+    out = Path(_resolve(args, "out") or ".")
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise CliError(2, f"--out {str(out)!r}: {path} exists and is not a directory")
+            break
+    return out
+
+
 def _load_dataset(path) -> TabularDataset:
     if path is None:
         raise CliError(2, "a dataset is required (--dataset or config)")
@@ -151,6 +166,8 @@ def _resolve_model(token, arity: int):
             raise CliError(2, f"malformed linear model spec {token!r}") from None
         if len(params) != arity + 1:
             raise CliError(2, f"linear model needs intercept plus {arity} coefficients")
+        if not all(math.isfinite(v) for v in params):
+            raise CliError(2, f"--model {token!r} has a non-finite coefficient")
         return LinearModel(params[0], params[1:])
     if token == "multiplicative":
         return MultiplicativeModel(arity)
@@ -164,7 +181,7 @@ def _resolve_model(token, arity: int):
     try:
         model = load_tree(path)
     except (OSError, TreeFormatError) as exc:
-        raise CliError(3, f"cannot load tree model: {exc}") from None
+        raise CliError(3, f"cannot load tree model {token}: {exc}") from None
     if model.arity > arity:
         raise CliError(3, f"tree model uses feature {model.arity - 1}, dataset has {arity} features")
     # trees may ignore trailing features; present the dataset arity
@@ -308,6 +325,7 @@ class RunConfig:
         n_samples = _resolve_checked(args, "n_samples", int, lambda v: v >= 1, "at least 1")
         seed = _resolve_checked(args, "seed", int, lambda v: v >= 0, "non-negative")
         tolerance = _resolve_checked(args, "tolerance", float, lambda v: 0 <= v < math.inf, "finite and non-negative")
+        out = _resolve_out(args)
         solver = _resolve(args, "solver") or "exact"
         if solver not in _SOLVERS:
             raise CliError(2, f"unknown solver {solver!r} (choose from {', '.join(_SOLVERS)})")
@@ -334,7 +352,7 @@ class RunConfig:
             solver=solver,
             solve=solve,
             tolerance=1e-6 if tolerance is None else tolerance,  # empirical-game default
-            out=Path(_resolve(args, "out") or "."),
+            out=out,
             probe_seed=0 if seed is None else seed,
             echo={key: value for key, value in echo.items() if value is not None},
         )
@@ -430,7 +448,7 @@ def cmd_scenario(args) -> int:
     seed = _resolve_checked(args, "seed", int, lambda v: v >= 0, "non-negative")
     # scenarios report sample variances, which need two draws
     n_samples = _resolve_checked(args, "n_samples", int, lambda v: v >= 2, "at least 2 for scenarios")
-    out = Path(_resolve(args, "out") or ".")
+    out = _resolve_out(args)
     names = SCENARIO_NAMES if name == "all" else (name,)
     all_passed = True
     for scenario_name in names:

@@ -1,9 +1,9 @@
 """Immutable tabular datasets backing the empirical value functions.
 
-CSV format: first line is a header of feature names, every following line is a
-row of finite decimal reals, one per name (``nan``, ``inf`` and rows of the
-wrong length are rejected at load). An optional JSON sidecar schema maps
-feature names to a domain kind (``discrete`` or ``continuous``); columns
+CSV format (UTF-8 text): first line is a header of feature names, every
+following line is a row of finite decimal reals, one per name (``nan``, ``inf``
+and rows of the wrong length are rejected at load). An optional JSON sidecar
+schema, a UTF-8 JSON object, maps feature names to a domain kind (``discrete`` or ``continuous``); columns
 without an entry default to discrete when every value is integral, continuous
 otherwise.
 """
@@ -61,36 +61,22 @@ class TabularDataset:
     @classmethod
     def from_csv(cls, path, schema_path=None) -> "TabularDataset":
         path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DatasetError(f"{path}: empty file") from None
-            names = [h.strip() for h in header]
-            rows = []
-            for lineno, line in enumerate(reader, start=2):
-                if not line or (len(line) == 1 and not line[0].strip()):
-                    continue
-                try:
-                    values = [float(v) for v in line]
-                except ValueError as exc:
-                    raise DatasetError(f"{path}:{lineno}: {exc}") from None
-                if not all(math.isfinite(v) for v in values):
-                    raise DatasetError(f"{path}:{lineno}: non-finite value in {line!r}")
-                if len(values) != len(names):
-                    raise DatasetError(
-                        f"{path}:{lineno}: {len(values)} values but {len(names)} columns in the header"
-                    )
-                rows.append(values)
+        try:
+            names, rows = _read_csv(path)
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: not UTF-8 text ({exc})") from None
         kinds = None
         if schema_path is None:
             candidate = path.with_name(path.name + ".schema.json")
             if candidate.exists():
                 schema_path = candidate
         if schema_path is not None:
-            with Path(schema_path).open() as fh:
-                declared = json.load(fh)
+            try:
+                declared = json.loads(Path(schema_path).read_text(encoding="utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise DatasetError(f"{schema_path}: {exc}") from None
+            if not isinstance(declared, dict):
+                raise DatasetError(f"{schema_path}: expected a JSON object of feature name to domain kind")
             unknown = set(declared) - set(names)
             if unknown:
                 raise DatasetError(f"schema declares unknown features: {sorted(unknown)}")
@@ -135,3 +121,30 @@ class TabularDataset:
 
     def __len__(self) -> int:
         return self.n_rows
+
+
+def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
+    """Header names and rows of finite floats; faults name ``file:line``."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError(f"{path}: empty file") from None
+        names = [h.strip() for h in header]
+        rows = []
+        for lineno, line in enumerate(reader, start=2):
+            if not line or (len(line) == 1 and not line[0].strip()):
+                continue
+            try:
+                values = [float(v) for v in line]
+            except ValueError as exc:
+                raise DatasetError(f"{path}:{lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise DatasetError(f"{path}:{lineno}: non-finite value in {line!r}")
+            if len(values) != len(names):
+                raise DatasetError(
+                    f"{path}:{lineno}: {len(values)} values but {len(names)} columns in the header"
+                )
+            rows.append(values)
+    return names, rows

@@ -232,11 +232,21 @@ def tree_conditional_expectation(tree, x, known: Coalition) -> float:
 def build_tree_from_data(data: TabularDataset, targets, max_depth: int) -> DecisionTree:
     """Greedy variance-reduction splitter with midpoint thresholds.
 
+    A node's candidate thresholds are the midpoints between adjacent distinct
+    values of each feature; a midpoint that rounds onto the upper value (two
+    neighbouring floats) is replaced by the lower value, which cuts the same
+    rows. The split minimizes the key (sse(left) + sse(right), feature,
+    threshold), with sse the two-pass sum of squared deviations from the mean.
+    Each feature is sorted once per node and prefix sums of the centred targets
+    price every candidate in one numpy pass; the candidates whose price lies
+    within a rounding margin of the cheapest are then keyed exactly, so the
+    tree is the one an exhaustive search of exact keys would build.
+
     Deterministic: ties are broken by lowest feature index, then lowest
     threshold. Splitting continues while the node is impure and depth remains,
     even when the best split yields no immediate variance reduction (an XOR
     pattern needs the zero-gain first cut). Constant targets produce a single
-    leaf.
+    leaf. Non-finite targets or rows raise ``ValueError`` naming the first.
     """
     y = np.asarray(targets, dtype=float)
     if y.shape != (data.n_rows,):
@@ -244,23 +254,56 @@ def build_tree_from_data(data: TabularDataset, targets, max_depth: int) -> Decis
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     rows = data.rows
+    bad = np.flatnonzero(~np.isfinite(y))
+    if len(bad):
+        raise ValueError(f"target {bad[0]} is {y[bad[0]]}, not finite")
+    bad = np.argwhere(~np.isfinite(rows))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"row {i} has the non-finite value {rows[i, j]} in feature {j}")
     nodes: list[TreeNode] = []
 
     def sse(values: np.ndarray) -> float:
         return float(np.sum((values - values.mean()) ** 2)) if len(values) else 0.0
 
     def best_split(idx: np.ndarray):
+        n = len(idx)
+        block = rows[idx].T  # (features, n), each feature's values in idx order
+        order = np.argsort(block, axis=1, kind="stable")
+        ranked = np.take_along_axis(block, order, axis=1)
+        # a candidate cuts feature j between sorted positions k and k + 1
+        feature, k = np.nonzero(ranked[:, 1:] != ranked[:, :-1])
+        if not len(feature):
+            return None
+        node_y = y[idx]
+        # Overflow makes a price or the margin NaN or infinite, which keeps
+        # every candidate for the exact keys.
+        with np.errstate(over="ignore", invalid="ignore"):
+            centred = (node_y - node_y.mean())[order]
+            sums, squares = np.cumsum(centred, axis=1), np.cumsum(centred * centred, axis=1)
+            left_sum, left_squares = sums[feature, k], squares[feature, k]
+            right_sum, right_squares = sums[feature, -1] - left_sum, squares[feature, -1] - left_squares
+            price = (left_squares - left_sum * left_sum / (k + 1)) + (
+                right_squares - right_sum * right_sum / (n - k - 1)
+            )
+            # Twice a bound on |price - true SSE| plus |sse() - true SSE|, so the
+            # least exact key is always among the kept candidates. The terms cover
+            # the prefix sums, sse() centring at an inexact mean, and underflow.
+            eps = np.finfo(float).eps
+            total = float(squares[:, -1].max())
+            biggest = float(np.abs(node_y).max())
+            margin = 64 * n**1.5 * eps * total + 8 * n * (n * eps * biggest) ** 2 + n * np.finfo(float).tiny
+            near = ~(price > price.min() + margin)
         best = None  # (sse, feature, threshold)
-        for j in range(data.n_features):
-            col = rows[idx, j]
-            uniq = np.unique(col)
-            for a, b in zip(uniq[:-1], uniq[1:]):
-                t = (a + b) / 2.0
-                left = idx[rows[idx, j] <= t]
-                right = idx[rows[idx, j] > t]
-                key = (sse(y[left]) + sse(y[right]), j, t)
-                if best is None or key < best:
-                    best = key
+        for j, at in zip(feature[near].tolist(), k[near].tolist()):
+            a, b = ranked[j, at], ranked[j, at + 1]
+            t = (a + b) / 2.0
+            if not a <= t < b:  # neighbouring floats can round onto b; a cuts the same rows
+                t = a
+            goes_left = block[j] <= t
+            key = (sse(node_y[goes_left]) + sse(node_y[~goes_left]), j, t)
+            if best is None or key < best:
+                best = key
         return best
 
     def grow(idx: np.ndarray, depth: int) -> int:
@@ -347,4 +390,8 @@ def save_tree(model, path) -> None:
 
 
 def load_tree(path):
-    return load_tree_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TreeFormatError(f"not UTF-8 text: {exc}") from None
+    return load_tree_text(text)

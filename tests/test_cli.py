@@ -294,6 +294,71 @@ class TestExitCodes:
         assert list(out_dir.iterdir()) == []
 
 
+    @pytest.mark.parametrize("model", ["linear:nan,1,1,1", "linear:0,inf,1,1", "linear:0,1,-inf,1"])
+    def test_non_finite_linear_coefficient_is_config_error(self, out_dir, model):
+        result = run_cli(
+            "explain", "--dataset", str(INDEPENDENT), "--model", model, "--instance", "7",
+            "--out", str(out_dir),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "--model" in result.stderr and "non-finite" in result.stderr
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the conditional game on a continuous CSV would fail with exit 4
+            ["explain", "--dataset", "{cont}", "--model", "linear:0,1,1", "--instance", "0",
+             "--value-fn", "conditional"],
+            ["audit", "--dataset", "{cont}", "--model", "linear:0,1,1", "--instance", "0",
+             "--value-fn", "conditional"],
+            ["scenario", "linear"],
+        ],
+        ids=["explain", "audit", "scenario"],
+    )
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_naming_a_file_is_config_error(self, tmp_path, argv, under):
+        csv = tmp_path / "cont.csv"
+        csv.write_text("x,y\n0.5,1\n1.5,2\n")
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        out = taken / "reports" if under else taken
+        argv = [arg.format(cont=csv) for arg in argv]
+        result = run_cli(*argv, "--out", str(out))
+        assert result.returncode == 2, result.stderr
+        assert "--out" in result.stderr and "Traceback" not in result.stderr
+        assert taken.read_text() == "keep me\n"
+
+    def test_non_utf8_config_is_config_error(self, out_dir, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"model = multiplicative\ninstance = \xff\n")
+        result = run_cli("explain", "--config", str(config), "--out", str(out_dir))
+        assert result.returncode == 2, result.stderr
+        assert str(config) in result.stderr and "Traceback" not in result.stderr
+
+    def test_non_utf8_csv_is_load_error(self, out_dir, tmp_path):
+        csv = tmp_path / "latin1.csv"
+        csv.write_bytes(b"a,b\n1,2\n\xe9,3\n")
+        result = run_cli(
+            "explain", "--dataset", str(csv), "--model", "linear:0,1,1", "--instance", "0",
+            "--out", str(out_dir),
+        )
+        assert result.returncode == 3, result.stderr
+        assert str(csv) in result.stderr and "UTF-8" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_non_utf8_tree_file_is_load_error(self, out_dir, tmp_path):
+        tree_file = tmp_path / "latin1.tree"
+        tree_file.write_bytes(b"tree 0\n# caf\xe9\n0 leaf 1.0 4\n")
+        result = run_cli(
+            "explain", "--dataset", str(INDEPENDENT), "--model", str(tree_file),
+            "--instance", "0", "--out", str(out_dir),
+        )
+        assert result.returncode == 3, result.stderr
+        assert str(tree_file) in result.stderr and "UTF-8" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestScenarioCommand:
     def test_beetle_passes(self, out_dir):
         result = run_cli("scenario", "beetle", "--out", str(out_dir))

@@ -64,6 +64,25 @@ def test_csv_schema_unknown_feature(tmp_path):
         TabularDataset.from_csv(path, schema_path=schema)
 
 
+@pytest.mark.parametrize(
+    "content", [b'{"a": "discrete",', b'{"a": "caf\xe9"}', b'["a"]', b"[]"],
+    ids=["not-json", "not-utf8", "list", "empty-list"],
+)
+def test_csv_schema_unreadable(tmp_path, content):
+    path = tmp_path / "d.csv"
+    path.write_text("a\n0\n1\n")
+    schema = tmp_path / "d.csv.schema.json"
+    schema.write_bytes(content)
+    with pytest.raises(DatasetError, match="d.csv.schema.json"):
+        TabularDataset.from_csv(path)
+
+
+def test_csv_not_utf8(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"a\n0\n\xff\n")
+    with pytest.raises(DatasetError, match="not UTF-8"):
+        TabularDataset.from_csv(path)
+
 def test_csv_malformed_value(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("x1\nfoo\n")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shaplab import (
     Coalition,
@@ -139,6 +140,126 @@ class TestBuildTree:
             build_tree_from_data(data, [1.0], max_depth=1)
         with pytest.raises(ValueError):
             build_tree_from_data(data, [1.0, 2.0], max_depth=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        data = TabularDataset(["x"], [[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match=r"target 2 is (nan|-?inf), not finite"):
+            build_tree_from_data(data, [0.0, 1.0, bad, bad], max_depth=2)
+
+    def test_non_finite_row_rejected(self):
+        # a directly built dataset accepts NaN; the fitter names the first one
+        data = TabularDataset(["a", "b"], [[0.0, 1.0], [1.0, np.nan], [2.0, np.inf]])
+        with pytest.raises(ValueError, match="row 1 has the non-finite value nan in feature 1"):
+            build_tree_from_data(data, [0.0, 1.0, 2.0], max_depth=1)
+
+    def test_neighbouring_float_values_split(self):
+        # (a + b) / 2 rounds onto b here, so a midpoint threshold would send
+        # both rows left; the lower value cuts them apart instead
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert (a + b) / 2.0 == b
+        data = TabularDataset(["x"], [[a], [b]])
+        tree = build_tree_from_data(data, [0.0, 1.0], max_depth=1)
+        root = tree.node(tree.root_id)
+        assert root.threshold == a
+        assert [tree.score(r) for r in data.rows] == [0.0, 1.0]
+
+
+def exhaustive_tree(data, targets, max_depth):
+    """Reference fitter: every feature, every midpoint, both sides' SSE by
+    masked two-pass sums, lowest (sse, feature, threshold) key wins. It is
+    the loop ``build_tree_from_data`` used before its prefix-sum search, with
+    the lower value standing in for a midpoint that rounds onto the upper."""
+    y = np.asarray(targets, dtype=float)
+    rows = data.rows
+    nodes = []
+
+    def sse(values):
+        return float(np.sum((values - values.mean()) ** 2)) if len(values) else 0.0
+
+    def best_split(idx):
+        best = None
+        for j in range(data.n_features):
+            uniq = np.unique(rows[idx, j])
+            for a, b in zip(uniq[:-1], uniq[1:]):
+                t = (a + b) / 2.0
+                if not a <= t < b:
+                    t = a
+                left = idx[rows[idx, j] <= t]
+                right = idx[rows[idx, j] > t]
+                key = (sse(y[left]) + sse(y[right]), j, t)
+                if best is None or key < best:
+                    best = key
+        return best
+
+    def grow(idx, depth):
+        node_id = len(nodes)
+        nodes.append(None)
+        pure = bool(np.all(y[idx] == y[idx][0]))
+        split = None if (depth >= max_depth or pure) else best_split(idx)
+        if split is None:
+            nodes[node_id] = TreeNode(node_id, -1, 0.0, -1, -1, float(y[idx].mean()), len(idx))
+            return node_id
+        _, j, t = split
+        left_id = grow(idx[rows[idx, j] <= t], depth + 1)
+        right_id = grow(idx[rows[idx, j] > t], depth + 1)
+        nodes[node_id] = TreeNode(node_id, j, float(t), left_id, right_id, 0.0, len(idx))
+        return node_id
+
+    grow(np.arange(data.n_rows), 0)
+    return DecisionTree(nodes)
+
+
+def boosted_text(fit, data, target, depth, n_trees=3):
+    """dump_tree_text of a boosted ensemble, each tree fit to the residuals."""
+    trees, residual = [], np.asarray(target, dtype=float)
+    for _ in range(n_trees):
+        tree = fit(data, residual, depth)
+        trees.append(tree)
+        residual = residual - tree.predict(data.rows)
+    return dump_tree_text(TreeEnsemble(trees))
+
+
+@st.composite
+def fitting_problems(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(d):
+        # base + level * step over drawn integer levels: ties, constant columns,
+        # integer levels, a large offset, and with a one-ulp step neighbouring floats
+        base = draw(st.sampled_from([0.0, -2.5, 1.0, 1e8]))
+        step = draw(st.sampled_from([1.0, 0.37, float(np.spacing(base))]))
+        levels = draw(st.lists(st.integers(0, draw(st.integers(0, 30))), min_size=n, max_size=n))
+        columns.append([base + level * step for level in levels])
+    offset = draw(st.sampled_from([0.0, 1e9, -3.0]))
+    values = st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0))
+    targets = [offset + v for v in draw(st.lists(values, min_size=n, max_size=n))]
+    data = TabularDataset([f"x{j}" for j in range(d)], np.array(columns).T)
+    return data, targets, draw(st.integers(1, 5))
+
+
+class TestAgainstExhaustiveSearch:
+    """The prefix-sum search builds the exhaustive search's tree, byte for byte."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(fitting_problems())
+    def test_drawn_problems(self, problem):
+        data, targets, depth = problem
+        assert dump_tree_text(build_tree_from_data(data, targets, depth)) == dump_tree_text(
+            exhaustive_tree(data, targets, depth)
+        )
+
+    def test_boosted_continuous_fit(self):
+        # the shape of a benchmark fit: 64 rows, 10 continuous features, depth 5
+        rng = np.random.default_rng(20)
+        rows = np.round(rng.standard_normal((64, 10)), 6)
+        data = TabularDataset([f"x{j}" for j in range(10)], rows)
+        target = rows @ rng.uniform(-2, 2, 10) + np.sin(rows[:, 0]) * rows[:, 1]
+        assert boosted_text(build_tree_from_data, data, target, 5) == boosted_text(
+            exhaustive_tree, data, target, 5
+        )
 
 
 class TestSerialization:
