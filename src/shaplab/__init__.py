@@ -45,7 +45,6 @@ from .models import (
     ScaffoldedModel,
     linear_closed_form,
     multiplicative_closed_form,
-    scaffold,
 )
 from .trees import (
     DecisionTree,

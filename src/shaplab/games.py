@@ -140,12 +140,8 @@ class CoalitionGame:
     def full_mask(self) -> int:
         return (1 << self.n_players) - 1
 
-    def value(self, coalition: Coalition | int) -> float:
-        """v(S) for a coalition (or raw mask), memoized."""
-        mask = coalition.mask if isinstance(coalition, Coalition) else coalition
-        return self.value_mask(mask)
-
     def value_mask(self, mask: int) -> float:
+        """v(S) for a coalition bit mask, memoized."""
         if self._table is not None:
             if not 0 <= mask < self._table.size:
                 raise ValueError(f"mask {mask:#x} out of range")

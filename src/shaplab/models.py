@@ -145,11 +145,6 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return block.view(np.dtype((np.void, block.dtype.itemsize * block.shape[1]))).ravel()
 
 
-def scaffold(biased, innocuous, data: TabularDataset) -> ScaffoldedModel:
-    """Mask ``biased`` behind ``innocuous`` off the exact rows of ``data``."""
-    return ScaffoldedModel(biased, innocuous, data)
-
-
 def linear_closed_form(model: LinearModel, x, means) -> Attribution:
     """Closed-form attribution for a linear model under any expectation-style
     value function: each coordinate earns coefficient * (value - mean)."""

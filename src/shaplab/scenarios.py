@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import TabularDataset
 from .games import Coalition, CoalitionGame, PrecedenceOrder
-from .models import CallableModel, LinearModel, MultiplicativeModel, QuadraticRecourseModel, linear_closed_form, multiplicative_closed_form, scaffold
+from .models import CallableModel, LinearModel, MultiplicativeModel, QuadraticRecourseModel, ScaffoldedModel, linear_closed_form, multiplicative_closed_form
 from .reporting import dump_json, format_csv, atomic_write_text
 from .solvers import asymmetric_shapley, exact_shapley_subsets
 from .value_functions import (
@@ -438,7 +438,7 @@ def run_adversarial_scenario(seed: int = 0) -> ScenarioReport:
 
     biased = LinearModel(0.0, [1.0, 0.0, 0.0])
     innocuous = CallableModel(3, lambda r: 0.5)
-    masked = scaffold(biased, innocuous, data)
+    masked = ScaffoldedModel(biased, innocuous, data)
 
     spec = ValueFunctionSpec(kind=MARGINAL_JOINT, n_samples=data.n_rows, seed=seed)
     raw = exact_shapley_subsets(build_interventional_game(biased, data, x, spec))

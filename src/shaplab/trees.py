@@ -22,8 +22,9 @@ ensemble whose score is the sum of its trees' scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,81 +40,99 @@ class ZeroCoverageError(ValueError):
     """Conditioning descended into a region with no training coverage."""
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
+    """One node's fields; ``DecisionTree(nodes)`` unzips a list of them into columns."""
+
     node_id: int
     feature: int  # -1 for leaves
     threshold: float
-    left: int  # -1 for leaves
+    left: int  # child node id; -1 for leaves
     right: int
     value: float  # leaf prediction; 0.0 for splits
     coverage: int
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
 
 class DecisionTree:
-    """Binary regression tree; rows with feature <= threshold go left.
+    """Binary regression tree held as node columns; rows with feature <= threshold go left.
 
-    ``score`` walks the nodes for one row; ``predict`` walks a block of rows
-    through node-index arrays built once at construction.
+    ``node_id``, ``feature``, ``threshold``, ``left``, ``right``, ``value`` and
+    ``coverage`` are tuples indexed by node position. The root is at position
+    0, ``left`` and ``right`` hold child positions, and a leaf has feature and
+    children -1. ``score`` walks the columns for one row; ``predict`` walks a
+    block of rows through arrays concatenated from them.
     """
 
     def __init__(self, nodes: list[TreeNode]):
-        if not nodes:
+        self._set_columns(*(zip(*nodes) if nodes else [()] * len(TreeNode._fields)))
+
+    @classmethod
+    def _from_columns(cls, *columns) -> DecisionTree:
+        tree = cls.__new__(cls)
+        tree._set_columns(*columns)
+        return tree
+
+    def _set_columns(self, node_id, feature, threshold, left, right, value, coverage) -> None:
+        """Validate columns whose children are node ids, then keep them with
+        children as positions. The root, at position 0, must reach every node
+        exactly once: no cycles, no shared children, no orphans."""
+        n = len(node_id)
+        if not n:
             raise TreeFormatError("a tree needs at least one node")
-        self._by_id = {n.node_id: n for n in nodes}
-        if len(self._by_id) != len(nodes):
+        position = {i: k for k, i in enumerate(node_id)}
+        if len(position) != n:
             raise TreeFormatError("duplicate node ids")
-        self.root_id = nodes[0].node_id
-        self.nodes = list(nodes)
-        for n in nodes:
-            if not n.is_leaf:
-                if n.left not in self._by_id or n.right not in self._by_id:
-                    raise TreeFormatError(f"node {n.node_id} references missing children")
-                child_cov = self._by_id[n.left].coverage + self._by_id[n.right].coverage
-                if child_cov != n.coverage:
-                    raise TreeFormatError(
-                        f"node {n.node_id} coverage {n.coverage} != children sum {child_cov}"
-                    )
-        self.depth = self._check_shape()
-        feats = [n.feature for n in nodes if not n.is_leaf]
-        self.arity = max(feats) + 1 if feats else 1
+        leaf = [f == -1 and a == -1 and b == -1 for f, a, b in zip(feature, left, right)]
+        for k in range(n):
+            if coverage[k] < 0:
+                raise TreeFormatError(f"node {node_id[k]} has the negative coverage {coverage[k]}")
+            if leaf[k]:
+                if not math.isfinite(value[k]):
+                    raise TreeFormatError(f"node {node_id[k]} has the non-finite value {value[k]}")
+                continue
+            if feature[k] < 0:
+                raise TreeFormatError(f"node {node_id[k]} splits on the negative feature {feature[k]}")
+            if math.isnan(threshold[k]):
+                raise TreeFormatError(f"node {node_id[k]} has the threshold nan")
+            if left[k] not in position or right[k] not in position:
+                raise TreeFormatError(f"node {node_id[k]} references missing children")
+            child_cov = coverage[position[left[k]]] + coverage[position[right[k]]]
+            if child_cov != coverage[k]:
+                raise TreeFormatError(
+                    f"node {node_id[k]} coverage {coverage[k]} != children sum {child_cov}"
+                )
+        self.node_id = tuple(node_id)
+        self.feature = tuple(feature)
+        self.threshold = tuple(threshold)
+        self.left = tuple(-1 if leaf[k] else position[left[k]] for k in range(n))
+        self.right = tuple(-1 if leaf[k] else position[right[k]] for k in range(n))
+        self.value = tuple(value)
+        self.coverage = tuple(coverage)
+        seen = [False] * n
+        self.depth = 0
+        stack = [(0, 0)]
+        while stack:
+            k, level = stack.pop()
+            if seen[k]:
+                raise TreeFormatError(
+                    f"node {node_id[k]} is reached twice from the root (a cycle or a shared child)"
+                )
+            seen[k] = True
+            if leaf[k]:
+                self.depth = max(self.depth, level)
+            else:
+                stack += [(self.left[k], level + 1), (self.right[k], level + 1)]
+        orphans = sorted(i for i, reached in zip(node_id, seen) if not reached)
+        if orphans:
+            raise TreeFormatError(f"nodes {orphans} are not reachable from the root {node_id[0]}")
+        self.arity = max((f for f, is_leaf in zip(feature, leaf) if not is_leaf), default=0) + 1
         self._arrays = _NodeArrays([self])
 
-    def _check_shape(self) -> int:
-        """Depth of the tree, once the root is shown to reach every node
-        exactly once: no cycles, no shared children, no orphans."""
-        seen = set()
-        depth = 0
-        stack = [(self.root_id, 0)]
-        while stack:
-            node_id, level = stack.pop()
-            if node_id in seen:
-                raise TreeFormatError(
-                    f"node {node_id} is reached twice from the root (a cycle or a shared child)"
-                )
-            seen.add(node_id)
-            node = self._by_id[node_id]
-            if node.is_leaf:
-                depth = max(depth, level)
-            else:
-                stack += [(node.left, level + 1), (node.right, level + 1)]
-        orphans = sorted(set(self._by_id) - seen)
-        if orphans:
-            raise TreeFormatError(f"nodes {orphans} are not reachable from the root {self.root_id}")
-        return depth
-
-    def node(self, node_id: int) -> TreeNode:
-        return self._by_id[node_id]
-
     def score(self, row) -> float:
-        node = self._by_id[self.root_id]
-        while not node.is_leaf:
-            node = self._by_id[node.left if row[node.feature] <= node.threshold else node.right]
-        return node.value
+        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
+        k = 0
+        while left[k] >= 0:
+            k = left[k] if row[feature[k]] <= threshold[k] else right[k]
+        return self.value[k]
 
     def predict(self, rows) -> np.ndarray:
         return self._arrays.leaf_values(rows)[:, 0]
@@ -141,31 +160,25 @@ class TreeEnsemble:
 
 
 class _NodeArrays:
-    """The nodes of one or more trees as flat arrays indexed by position.
+    """The columns of one or more trees concatenated, children offset to
+    positions in the concatenation.
 
     Leaves point to themselves on both sides, so a walk of ``depth`` steps
     leaves every row at its leaf in every tree without masking.
     """
 
     def __init__(self, trees: list[DecisionTree]):
-        feature, threshold, left, right, value, roots = [], [], [], [], [], []
-        for tree in trees:
-            offset = len(feature)
-            position = {n.node_id: offset + k for k, n in enumerate(tree.nodes)}
-            roots.append(position[tree.root_id])
-            for n in tree.nodes:
-                here = position[n.node_id]
-                feature.append(0 if n.is_leaf else n.feature)
-                threshold.append(n.threshold)
-                left.append(here if n.is_leaf else position[n.left])
-                right.append(here if n.is_leaf else position[n.right])
-                value.append(n.value)
-        self.feature = np.array(feature, dtype=np.intp)
-        self.threshold = np.array(threshold, dtype=float)
-        self.left = np.array(left, dtype=np.intp)
-        self.right = np.array(right, dtype=np.intp)
-        self.value = np.array(value, dtype=float)
-        self.roots = np.array(roots, dtype=np.intp)
+        sizes = [len(t.node_id) for t in trees]
+        self.roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+        offset = np.repeat(self.roots, sizes)
+        feature = np.concatenate([t.feature for t in trees], dtype=np.intp)
+        leaf = feature < 0
+        here = np.arange(len(feature), dtype=np.intp)
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = np.concatenate([t.threshold for t in trees], dtype=float)
+        self.left = np.where(leaf, here, np.concatenate([t.left for t in trees]) + offset)
+        self.right = np.where(leaf, here, np.concatenate([t.right for t in trees]) + offset)
+        self.value = np.concatenate([t.value for t in trees], dtype=float)
         self.depth = max(t.depth for t in trees)
         self.width = max(t.arity for t in trees)
 
@@ -201,32 +214,32 @@ def tree_conditional_expectation(tree, x, known: Coalition) -> float:
     """
     if isinstance(tree, TreeEnsemble):
         return sum(tree_conditional_expectation(t, x, known) for t in tree.trees)
+    feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
+    value, coverage = tree.value, tree.coverage
 
-    def descend(node: TreeNode) -> float:
-        if node.is_leaf:
-            return node.value
-        if known.contains(node.feature):
-            child = tree.node(node.left if x[node.feature] <= node.threshold else node.right)
-            if child.coverage == 0:
+    def descend(k: int) -> float:
+        if left[k] < 0:
+            return value[k]
+        if known.contains(feature[k]):
+            child = left[k] if x[feature[k]] <= threshold[k] else right[k]
+            if coverage[child] == 0:
                 raise ZeroCoverageError(
-                    f"conditioning path reached zero-coverage node {child.node_id}"
+                    f"conditioning path reached zero-coverage node {tree.node_id[child]}"
                 )
             return descend(child)
-        left, right = tree.node(node.left), tree.node(node.right)
-        total = left.coverage + right.coverage
-        if total == 0:
-            raise ZeroCoverageError(f"node {node.node_id} has zero total child coverage")
+        # descend only enters covered nodes, and a node's coverage is its
+        # children's sum, so the total here is never zero
+        total = coverage[k]
         out = 0.0
-        if left.coverage:
-            out += descend(left) * (left.coverage / total)
-        if right.coverage:
-            out += descend(right) * (right.coverage / total)
+        if coverage[left[k]]:
+            out += descend(left[k]) * (coverage[left[k]] / total)
+        if coverage[right[k]]:
+            out += descend(right[k]) * (coverage[right[k]] / total)
         return out
 
-    root = tree.node(tree.root_id)
-    if root.coverage == 0:
+    if coverage[0] == 0:
         raise ZeroCoverageError("root has zero coverage")
-    return descend(root)
+    return descend(0)
 
 
 def build_tree_from_data(data: TabularDataset, targets, max_depth: int) -> DecisionTree:
@@ -261,7 +274,7 @@ def build_tree_from_data(data: TabularDataset, targets, max_depth: int) -> Decis
     if len(bad):
         i, j = bad[0]
         raise ValueError(f"row {i} has the non-finite value {rows[i, j]} in feature {j}")
-    nodes: list[TreeNode] = []
+    nodes = []  # (feature, threshold, left, right, value, coverage) by position
 
     def sse(values: np.ndarray) -> float:
         return float(np.sum((values - values.mean()) ** 2)) if len(values) else 0.0
@@ -307,81 +320,68 @@ def build_tree_from_data(data: TabularDataset, targets, max_depth: int) -> Decis
         return best
 
     def grow(idx: np.ndarray, depth: int) -> int:
-        node_id = len(nodes)
+        k = len(nodes)
         nodes.append(None)  # placeholder, replaced below
         pure = bool(np.all(y[idx] == y[idx][0]))
         split = None if (depth >= max_depth or pure) else best_split(idx)
         if split is None:
-            nodes[node_id] = TreeNode(node_id, -1, 0.0, -1, -1, float(y[idx].mean()), len(idx))
-            return node_id
+            nodes[k] = (-1, 0.0, -1, -1, float(y[idx].mean()), len(idx))
+            return k
         _, j, t = split
-        left_id = grow(idx[rows[idx, j] <= t], depth + 1)
-        right_id = grow(idx[rows[idx, j] > t], depth + 1)
-        nodes[node_id] = TreeNode(node_id, j, float(t), left_id, right_id, 0.0, len(idx))
-        return node_id
+        left = grow(idx[rows[idx, j] <= t], depth + 1)
+        right = grow(idx[rows[idx, j] > t], depth + 1)
+        nodes[k] = (j, float(t), left, right, 0.0, len(idx))
+        return k
 
     grow(np.arange(data.n_rows), 0)
-    return DecisionTree(nodes)
+    # node ids are positions
+    return DecisionTree._from_columns(range(len(nodes)), *zip(*nodes))
 
 
 def dump_tree_text(model) -> str:
     """Serialize a tree or ensemble to the documented line format."""
     trees = model.trees if isinstance(model, TreeEnsemble) else [model]
     lines = []
-    for k, tree in enumerate(trees):
-        lines.append(f"tree {k}")
-        ordering = [tree.node(tree.root_id)] + [
-            n for n in tree.nodes if n.node_id != tree.root_id
-        ]
-        for n in ordering:
-            if n.is_leaf:
-                lines.append(f"{n.node_id} leaf {n.value!r} {n.coverage}")
+    for t, tree in enumerate(trees):
+        lines.append(f"tree {t}")
+        ids = tree.node_id
+        for k, node_id in enumerate(ids):
+            a, b, c = tree.left[k], tree.right[k], tree.coverage[k]
+            if a < 0:
+                lines.append(f"{node_id} leaf {tree.value[k]!r} {c}")
             else:
-                lines.append(
-                    f"{n.node_id} split {n.feature} {n.threshold!r} {n.left} {n.right} {n.coverage}"
-                )
+                lines.append(f"{node_id} split {tree.feature[k]} {tree.threshold[k]!r} {ids[a]} {ids[b]} {c}")
     return "\n".join(lines) + "\n"
 
 
 def load_tree_text(text: str):
     """Parse the line format; one block gives a DecisionTree, several an ensemble."""
-    blocks: list[list[TreeNode]] = []
-    current: list[TreeNode] | None = None
+    blocks: list[list[list]] = []  # per block, the seven columns of TreeNode's fields
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if parts[0] == "tree":
-            current = []
-            blocks.append(current)
+            blocks.append([[] for _ in TreeNode._fields])
             continue
-        if current is None:
-            current = []
-            blocks.append(current)
+        if not blocks:
+            blocks.append([[] for _ in TreeNode._fields])
         try:
             node_id, kind = int(parts[0]), parts[1]
             if kind == "leaf":
-                current.append(TreeNode(node_id, -1, 0.0, -1, -1, float(parts[2]), int(parts[3])))
+                fields = (node_id, -1, 0.0, -1, -1, float(parts[2]), int(parts[3]))
             elif kind == "split":
-                current.append(
-                    TreeNode(
-                        node_id,
-                        int(parts[2]),
-                        float(parts[3]),
-                        int(parts[4]),
-                        int(parts[5]),
-                        0.0,
-                        int(parts[6]),
-                    )
-                )
-            else:
-                raise TreeFormatError(f"line {lineno}: unknown node kind {kind!r}")
+                fields = (node_id, int(parts[2]), float(parts[3]), int(parts[4]), int(parts[5]), 0.0, int(parts[6]))
         except (IndexError, ValueError) as exc:
             raise TreeFormatError(f"line {lineno}: {exc}") from None
-    if not blocks or not blocks[0]:
+        if kind not in ("leaf", "split"):
+            raise TreeFormatError(f"line {lineno}: unknown node kind {kind!r}")
+        for column, field in zip(blocks[-1], fields):
+            column.append(field)
+    if not blocks or not blocks[0][0]:
         raise TreeFormatError("no tree nodes found")
-    trees = [DecisionTree(nodes) for nodes in blocks]
+    trees = [DecisionTree._from_columns(*columns) for columns in blocks]
     return trees[0] if len(trees) == 1 else TreeEnsemble(trees)
 
 

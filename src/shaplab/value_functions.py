@@ -12,13 +12,14 @@ Two families of value function are provided and deliberately never conflated:
 
 Replacement-source rows are drawn once per game from a counter-based Philox
 generator keyed by (seed, dataset, sample budget) and shared across
-coalitions. The sharing is what makes a feature with no interventional effect
-come out at exactly zero even under sampling: the hybrid sets for S and S+i
-then differ only in coordinate i.
+coalitions, so the hybrid sets for S and S+i differ only in coordinate i.
 
 Every oracle scores one block of rows per coalition through the model's
-``predict`` and rejects a non-finite mean; ``generate_hybrids`` returns the
-same rows, with their provenance, for inspection.
+``predict`` and rejects a non-finite mean; a block of equal scores means
+exactly that score. With the sharing, this makes a feature with no
+interventional effect earn exactly zero even under sampling.
+``generate_hybrids`` returns the same rows, with their provenance, for
+inspection.
 """
 
 from __future__ import annotations
@@ -167,9 +168,17 @@ def _hybrid_matrix(x: np.ndarray, keep: Coalition, replacements: np.ndarray) -> 
 
 
 def _mean_score(model, rows: np.ndarray, coalition: Coalition, data: TabularDataset) -> float:
-    """Mean model score over one block of rows, which must be finite."""
+    """Mean model score over one block of rows, which must be finite; a block
+    of equal scores means exactly that score, where np.mean can round off it."""
     with np.errstate(all="ignore"):  # reported below, naming the coalition
-        value = float(np.mean(model.predict(rows)))
+        scores = model.predict(rows)
+        value = float(np.mean(scores))
+        first = float(scores[0])
+        # the mean of n equal scores is within n * eps / 2 = n * 2**-53 of them,
+        # so only a mean that close to the first score needs the exact test
+        if value != first and abs(value - first) <= len(scores) * 2.0**-51 * abs(first):
+            if (scores == first).all():
+                value = first
     if not math.isfinite(value):
         raise NonFiniteScoreError(coalition, data.feature_names)
     return value

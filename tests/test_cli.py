@@ -170,6 +170,27 @@ class TestExitCodes:
         assert result.returncode == 3
         assert "reached twice" in result.stderr
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 split -1 0.5 1 2 2\n", "node 0 splits on the negative feature -1"),
+            ("0 split 0 nan 1 2 2\n1 leaf 0.0 1\n2 leaf 1.0 1\n", "node 0 has the threshold nan"),
+            ("0 split 0 0.5 1 2 1\n1 leaf 0.0 -1\n2 leaf 5.0 2\n", "node 1 has the negative coverage -1"),
+            ("0 split 0 0.5 1 2 2\n1 leaf inf 1\n2 leaf 1.0 1\n", "node 1 has the non-finite value inf"),
+        ],
+        ids=["negative-feature", "nan-threshold", "negative-coverage", "infinite-leaf"],
+    )
+    def test_malformed_tree_field_is_load_error(self, out_dir, tmp_path, text, message):
+        tree_file = tmp_path / "bad.tree"
+        tree_file.write_text(text)
+        result = run_cli(
+            "explain", "--dataset", str(INDEPENDENT), "--model", str(tree_file),
+            "--instance", "0,0,0", "--out", str(out_dir),
+        )
+        assert result.returncode == 3, result.stderr
+        assert str(tree_file) in result.stderr and message in result.stderr
+        assert not (out_dir / "attribution.json").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_csv_value_is_load_error(self, out_dir, tmp_path, value):
         csv = tmp_path / "bad.csv"

@@ -53,7 +53,7 @@ class TestCoalitionGame:
         assert g.n_players == 3
         assert g.empty_value == 0.0
         assert g.grand_value == 1.0
-        assert g.value(Coalition.of([0, 1], 3)) == 1.0
+        assert g.value_mask(Coalition.of([0, 1], 3).mask) == 1.0
 
     def test_from_table_rejects_bad_length(self):
         with pytest.raises(ValueError):

@@ -9,13 +9,13 @@ from shaplab import (
     MARGINAL_JOINT,
     MultiplicativeModel,
     QuadraticRecourseModel,
+    ScaffoldedModel,
     TabularDataset,
     ValueFunctionSpec,
     build_interventional_game,
     exact_shapley_subsets,
     linear_closed_form,
     multiplicative_closed_form,
-    scaffold,
 )
 
 
@@ -109,24 +109,24 @@ class TestScaffold:
 
     def test_in_distribution_uses_biased(self, parts):
         data, biased, innocuous = parts
-        model = scaffold(biased, innocuous, data)
+        model = ScaffoldedModel(biased, innocuous, data)
         for row in data.rows:
             assert model.score(row) == biased.score(row)
 
     def test_off_distribution_uses_innocuous(self, parts):
         data, biased, innocuous = parts
-        model = scaffold(biased, innocuous, data)
+        model = ScaffoldedModel(biased, innocuous, data)
         assert model.score([1.0, 123.456]) == 0.5
         assert model.score([0.0, -77.0]) == 0.5
 
     def test_arity_mismatch_rejected(self, parts):
         data, biased, _ = parts
         with pytest.raises(ValueError):
-            scaffold(biased, CallableModel(3, lambda r: 0.0), data)
+            ScaffoldedModel(biased, CallableModel(3, lambda r: 0.0), data)
 
     def test_disagreement_only_off_dataset(self, parts):
         data, biased, innocuous = parts
-        model = scaffold(biased, innocuous, data)
+        model = ScaffoldedModel(biased, innocuous, data)
         assert max(abs(model.score(r) - biased.score(r)) for r in data.rows) == 0.0
         off = [1.0, 999.0]
         assert model.score(off) != biased.score(off)
@@ -169,7 +169,7 @@ class TestPredict:
 
     def test_scaffold(self, block):
         data = TabularDataset(["a", "b", "c"], block[:20])
-        model = scaffold(LinearModel(1.0, [1.0, 2.0, 3.0]), CallableModel(3, lambda r: -5.0), data)
+        model = ScaffoldedModel(LinearModel(1.0, [1.0, 2.0, 3.0]), CallableModel(3, lambda r: -5.0), data)
         self.assert_matches_score(model, block)
         assert (model.predict(block[:20]) != -5.0).all()
         assert (model.predict(block[20:40]) == -5.0).all()
@@ -178,7 +178,7 @@ class TestPredict:
         """-0.0 matches 0.0, as tuples of floats compare; NaN never matches."""
         nan = float("nan")
         data = TabularDataset(["a", "b"], [[0.0, 1.0], [-0.0, 2.0], [3.0, nan]])
-        model = scaffold(LinearModel(0.0, [1.0, 1.0]), CallableModel(2, lambda r: 0.5), data)
+        model = ScaffoldedModel(LinearModel(0.0, [1.0, 1.0]), CallableModel(2, lambda r: 0.5), data)
         queries = np.array([[-0.0, 1.0], [0.0, 2.0], [0.0, 1.0], [3.0, nan], [0.0, 3.0]])
         members = data.row_set()
         expected = [sum(q) if tuple(q) in members else 0.5 for q in queries.tolist()]

@@ -1,5 +1,7 @@
 """Tree building, leaf-coverage conditioning and text serialization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,19 +99,107 @@ class TestConditionalExpectation:
             tree_conditional_expectation(half_dead, [0.2], Coalition.full(1))
 
 
+def oracle_expectation(nodes, x, known):
+    """The recursive descent over node ids that ``tree_conditional_expectation``
+    used before trees became node columns, kept as its reference: the same
+    arithmetic in the same order and the same errors."""
+    by_id = {n.node_id: n for n in nodes}
+
+    def descend(node):
+        if node.feature < 0:
+            return node.value
+        if known.contains(node.feature):
+            child = by_id[node.left if x[node.feature] <= node.threshold else node.right]
+            if child.coverage == 0:
+                raise ZeroCoverageError(f"conditioning path reached zero-coverage node {child.node_id}")
+            return descend(child)
+        left, right = by_id[node.left], by_id[node.right]
+        total = left.coverage + right.coverage
+        if total == 0:
+            raise ZeroCoverageError(f"node {node.node_id} has zero total child coverage")
+        out = 0.0
+        if left.coverage:
+            out += descend(left) * (left.coverage / total)
+        if right.coverage:
+            out += descend(right) * (right.coverage / total)
+        return out
+
+    if nodes[0].coverage == 0:
+        raise ZeroCoverageError("root has zero coverage")
+    return descend(nodes[0])
+
+
+LEVELS = [-1.0, 0.0, 0.5, 2.0]
+
+
+@st.composite
+def drawn_tree_nodes(draw, d):
+    """A valid tree as TreeNodes: root first, the other nodes in drawn order,
+    drawn distinct ids (negative ones too) and zero-coverage leaves."""
+    rows = []  # (feature, threshold, left, right, value, coverage) in pre-order
+
+    def grow(depth):
+        k = len(rows)
+        rows.append(None)
+        if depth == 4 or draw(st.integers(0, 2)) == 0:
+            coverage = draw(st.sampled_from([0, 0, 1, 2, 3, 7, 100]))
+            rows[k] = (-1, 0.0, -1, -1, draw(st.floats(-10.0, 10.0)), coverage)
+            return k
+        feature, threshold = draw(st.integers(0, d - 1)), draw(st.sampled_from(LEVELS))
+        left, right = grow(depth + 1), grow(depth + 1)
+        rows[k] = (feature, threshold, left, right, 0.0, rows[left][5] + rows[right][5])
+        return k
+
+    grow(0)
+    n = len(rows)
+    ids = draw(st.lists(st.integers(-20, 60), min_size=n, max_size=n, unique=True))
+    order = [0] + draw(st.permutations(range(1, n)))
+    return [
+        TreeNode(ids[k], f, t, ids[a] if a >= 0 else -1, ids[b] if b >= 0 else -1, v, c)
+        for k in order
+        for f, t, a, b, v, c in [rows[k]]
+    ]
+
+
+def outcome(compute):
+    """The bits of a result, or the message of the ZeroCoverageError it raised."""
+    try:
+        return float(compute()).hex()
+    except ZeroCoverageError as exc:
+        return f"ZeroCoverageError: {exc}"
+
+
+class TestDescentOracle:
+    """Descent over positions gives the id-based recursion's bits and errors."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_oracle(self, data):
+        d = data.draw(st.integers(1, 4))
+        drawn = data.draw(st.lists(drawn_tree_nodes(d), min_size=1, max_size=2))
+        x = data.draw(st.lists(st.sampled_from(LEVELS + [0.25, 3.0]), min_size=d, max_size=d))
+        trees = [DecisionTree(nodes) for nodes in drawn]
+        for mask in range(1 << d):
+            known = Coalition(mask, d)
+            for model, oracle in [
+                (trees[0], lambda: oracle_expectation(drawn[0], x, known)),
+                (TreeEnsemble(trees), lambda: sum(oracle_expectation(nodes, x, known) for nodes in drawn)),
+            ]:
+                assert outcome(lambda: tree_conditional_expectation(model, x, known)) == outcome(oracle)
+
+
 class TestBuildTree:
     def test_separable_single_feature(self):
         data = TabularDataset(["x"], [[0.0], [1.0], [2.0], [3.0]])
         targets = [0.0, 0.0, 1.0, 1.0]
         tree = build_tree_from_data(data, targets, max_depth=1)
         assert [tree.score(r) for r in data.rows] == targets
-        root = tree.node(tree.root_id)
-        assert root.feature == 0 and root.threshold == 1.5
+        assert tree.feature[0] == 0 and tree.threshold[0] == 1.5
 
     def test_constant_targets_single_leaf(self):
         data = TabularDataset(["x"], [[0.0], [1.0]])
         tree = build_tree_from_data(data, [4.0, 4.0], max_depth=3)
-        assert len(tree.nodes) == 1
+        assert len(tree.node_id) == 1
         assert tree.score([0.5]) == 4.0
 
     def test_xor_needs_depth_two(self):
@@ -125,14 +215,13 @@ class TestBuildTree:
         # both features separate perfectly; feature 0 must win
         data = TabularDataset(["a", "b"], [[0, 0], [1, 1]])
         tree = build_tree_from_data(data, [0.0, 1.0], max_depth=2)
-        assert tree.node(tree.root_id).feature == 0
+        assert tree.feature[0] == 0
 
     def test_coverage_counts_recorded(self):
         data = TabularDataset(["x"], [[0.0], [1.0], [2.0]])
         tree = build_tree_from_data(data, [0.0, 1.0, 1.0], max_depth=1)
-        root = tree.node(tree.root_id)
-        assert root.coverage == 3
-        assert tree.node(root.left).coverage + tree.node(root.right).coverage == 3
+        assert tree.coverage[0] == 3
+        assert tree.coverage[tree.left[0]] + tree.coverage[tree.right[0]] == 3
 
     def test_validation(self):
         data = TabularDataset(["x"], [[0.0], [1.0]])
@@ -161,8 +250,7 @@ class TestBuildTree:
         assert (a + b) / 2.0 == b
         data = TabularDataset(["x"], [[a], [b]])
         tree = build_tree_from_data(data, [0.0, 1.0], max_depth=1)
-        root = tree.node(tree.root_id)
-        assert root.threshold == a
+        assert tree.threshold[0] == a
         assert [tree.score(r) for r in data.rows] == [0.0, 1.0]
 
 
@@ -394,3 +482,73 @@ class TestShape:
     def test_depth(self):
         assert stump().depth == 1
         assert DecisionTree([TreeNode(0, -1, 0.0, -1, -1, 1.0, 1)]).depth == 0
+
+
+def leaf(node_id, value, coverage):
+    return TreeNode(node_id, -1, 0.0, -1, -1, value, coverage)
+
+
+class TestFormatErrors:
+    """Each malformed tree fails with a TreeFormatError naming the fault."""
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ([leaf(0, 1.0, 1), leaf(0, 2.0, 1)], "duplicate node ids"),
+            ([TreeNode(0, 0, 0.5, 1, 9, 0.0, 2), leaf(1, 0.0, 1)], "node 0 references missing children"),
+            (
+                [TreeNode(0, 0, 0.5, 1, 2, 0.0, 5), leaf(1, 0.0, 1), leaf(2, 1.0, 1)],
+                "node 0 coverage 5 != children sum 2",
+            ),
+            (
+                [TreeNode(0, 0, 0.5, 1, 1, 0.0, 4), leaf(1, 1.0, 2)],
+                "node 1 is reached twice from the root (a cycle or a shared child)",
+            ),
+            (
+                [TreeNode(5, 0, 0.5, 1, 2, 0.0, 2), leaf(1, 0.0, 1), leaf(2, 1.0, 1), leaf(3, 9.0, 1), leaf(0, 0.0, 4)],
+                "nodes [0, 3] are not reachable from the root 5",
+            ),
+            ([], "a tree needs at least one node"),
+        ],
+    )
+    def test_structure_messages(self, nodes, message):
+        with pytest.raises(TreeFormatError, match=f"^{re.escape(message)}$"):
+            DecisionTree(nodes)
+
+    # Before these checks each loaded as something else: a leaf of value 0.0,
+    # a split that sends every row right, an empty-set expectation of 10.0
+    # from leaves 0.0 and 5.0, and a failure only once a game is computed.
+    MALFORMED_FIELDS = [
+        ("0 split -1 0.5 1 2 2\n", "node 0 splits on the negative feature -1"),
+        ("0 split -1 0.5 1 2 2\n1 leaf 0.0 1\n2 leaf 1.0 1\n", "node 0 splits on the negative feature -1"),
+        ("0 split 0 nan 1 2 2\n1 leaf 0.0 1\n2 leaf 1.0 1\n", "node 0 has the threshold nan"),
+        ("0 split 0 0.5 1 2 1\n1 leaf 0.0 -1\n2 leaf 5.0 2\n", "node 1 has the negative coverage -1"),
+        ("0 split 0 0.5 1 2 2\n1 leaf inf 1\n2 leaf 1.0 1\n", "node 1 has the non-finite value inf"),
+        ("7 leaf nan 3\n", "node 7 has the non-finite value nan"),
+    ]
+
+    @pytest.mark.parametrize("text, message", MALFORMED_FIELDS)
+    def test_malformed_field_rejected_at_load(self, text, message):
+        with pytest.raises(TreeFormatError, match=f"^{re.escape(message)}$"):
+            load_tree_text(text)
+
+    def test_malformed_field_rejected_from_nodes(self):
+        with pytest.raises(TreeFormatError, match="node 0 splits on the negative feature -2"):
+            DecisionTree([TreeNode(0, -2, 0.5, 1, 2, 0.0, 2), leaf(1, 0.0, 1), leaf(2, 1.0, 1)])
+        with pytest.raises(TreeFormatError, match="node 0 has the threshold nan"):
+            DecisionTree([TreeNode(0, 0, float("nan"), 1, 2, 0.0, 2), leaf(1, 0.0, 1), leaf(2, 1.0, 1)])
+        with pytest.raises(TreeFormatError, match="node 2 has the negative coverage -3"):
+            DecisionTree([TreeNode(0, 0, 0.5, 1, 2, 0.0, 2), leaf(1, 0.0, 5), leaf(2, 1.0, -3)])
+        with pytest.raises(TreeFormatError, match="node 0 has the non-finite value -inf"):
+            DecisionTree([leaf(0, float("-inf"), 1)])
+
+    def test_infinite_threshold_and_negative_ids_load(self):
+        tree = load_tree_text("-1 split 0 inf -2 -3 2\n-2 leaf 0.0 1\n-3 leaf 1.0 1\n")
+        assert tree.score([1e308]) == 0.0
+        assert dump_tree_text(tree) == "tree 0\n-1 split 0 inf -2 -3 2\n-2 leaf 0.0 1\n-3 leaf 1.0 1\n"
+
+    def test_line_errors_name_the_line_once(self):
+        with pytest.raises(TreeFormatError, match=r"^line 2: unknown node kind 'wiggle'$"):
+            load_tree_text("0 leaf 1.0 1\n1 wiggle 1 2 3\n")
+        with pytest.raises(TreeFormatError, match=r"^line 1: could not convert string to float: 'x'$"):
+            load_tree_text("0 leaf x 1\n")

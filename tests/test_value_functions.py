@@ -7,6 +7,7 @@ single-reference product game are all small enough to tabulate directly.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shaplab import (
     CallableModel,
@@ -126,6 +127,36 @@ class TestInterventionalGame:
         for spec in specs:
             game = build_interventional_game(model, proxy, x, spec)
             assert exact_shapley_subsets(game).values[1] == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.integers(2, 5),
+        n=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 10.0, 1e3, 1e-3]),
+        budget=st.integers(1, 80),
+    )
+    def test_ignored_feature_earns_exact_zero(self, d, n, seed, scale, budget):
+        """A feature with a zero coefficient earns exactly 0.0 under every
+        interventional kind, although np.mean of the equal scores of the
+        coalition without it can round off the grand coalition's score."""
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n, d)) * scale
+        coef = rng.standard_normal(d) * scale
+        inert = int(rng.integers(d))
+        coef[inert] = 0.0
+        model = LinearModel(float(rng.standard_normal()), coef)
+        data = TabularDataset([f"x{j}" for j in range(d)], rows)
+        x = rows[int(rng.integers(n))]
+        specs = [
+            ValueFunctionSpec(kind=MARGINAL_JOINT, n_samples=n, seed=seed),
+            ValueFunctionSpec(kind=MARGINAL_JOINT, n_samples=min(budget, n - 1), seed=seed),
+            ValueFunctionSpec(kind=PRODUCT_OF_MARGINALS, n_samples=budget, seed=seed),
+            ValueFunctionSpec(kind=SINGLE_REFERENCE, reference=tuple(rows[int(rng.integers(n))])),
+        ]
+        for spec in specs:
+            game = build_interventional_game(model, data, x, spec)
+            assert exact_shapley_subsets(game).values[inert] == 0.0, spec.kind
 
     def test_grand_value_is_model_score_every_kind(self, uniform2):
         model = LinearModel(0.1, [1.0, 2.0])
